@@ -34,7 +34,7 @@ impl NbdClient {
     /// server; transport errors pass through.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NbdError> {
         let stream = TcpStream::connect(addr).map_err(NbdError::Io)?;
-        let _ = stream.set_nodelay(true);
+        let _ = twl_service::prepare_stream(&stream, None);
         let reader_half = stream.try_clone().map_err(NbdError::Io)?;
         let mut reader = BufReader::new(reader_half);
         let mut writer = BufWriter::new(stream);

@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 
 use twl_pcm::LogicalPageAddr;
 use twl_service::{
-    apply_idle_timeout, idle_deadline, is_idle_timeout, read_frame, render_metrics_page,
-    write_frame, FrameError, JobQueue, Request, Response, PROTOCOL,
+    idle_deadline, is_idle_timeout, prepare_stream, read_frame, render_metrics_page, write_frame,
+    FrameError, JobQueue, Request, Response, PROTOCOL,
 };
 use twl_telemetry::json::{int, str, Json};
 use twl_telemetry::{counter, gauge, histogram};
@@ -233,7 +233,7 @@ impl BlockServer {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                let _ = stream.set_nodelay(true);
+                let _ = prepare_stream(&stream, control_shared.idle);
                 let shared = Arc::clone(&control_shared);
                 thread::spawn(move || handle_control(&shared, stream));
             }
@@ -244,10 +244,7 @@ impl BlockServer {
             }
             let Ok(stream) = stream else { continue };
             counter!("twl.blockdev.connections").inc();
-            // Request/response over loopback dies by Nagle+delayed-ACK
-            // without this.
-            let _ = stream.set_nodelay(true);
-            apply_idle_timeout(&stream, self.shared.idle);
+            let _ = prepare_stream(&stream, self.shared.idle);
             let shared = Arc::clone(&self.shared);
             thread::spawn(move || {
                 if let Err(e) = handle_data_connection(&shared, stream) {
@@ -485,7 +482,6 @@ fn serve_trim(shared: &Shared, offset: u64, len: u32) -> u32 {
 
 /// One control connection: `twl-wire/v1` frames until the peer closes.
 fn handle_control(shared: &Shared, mut stream: TcpStream) {
-    apply_idle_timeout(&stream, shared.idle);
     loop {
         let frame = match read_frame(&mut stream) {
             Ok(frame) => frame,

@@ -31,7 +31,9 @@ use twl_service::framing::{read_frame, write_frame};
 use twl_service::job::encode_result;
 use twl_service::queue::{ClaimedJob, JobQueue, JobStatus};
 use twl_service::wire::{Request, Response, PROTOCOL};
-use twl_service::{render_metrics_page, stream_job, CellOutcome, Client};
+use twl_service::{
+    is_idle_timeout, prepare_stream, render_metrics_page, stream_job, CellOutcome, Client,
+};
 use twl_telemetry::json::Json;
 use twl_telemetry::prom::PromWriter;
 use twl_telemetry::{counter, gauge};
@@ -220,9 +222,7 @@ impl Coordinator {
                 Err(_) => continue,
             };
             counter!("twl.fleet.connections").inc();
-            if let Some(idle) = self.idle_timeout {
-                let _ = stream.set_read_timeout(Some(idle));
-            }
+            let _ = prepare_stream(&stream, self.idle_timeout);
             let shared = Arc::clone(&self.shared);
             thread::spawn(move || handle_connection(&stream, &shared, local_addr));
         }
@@ -357,10 +357,11 @@ fn run_assignment(
             device_writes,
         }) => {
             worker.served.fetch_add(1, Ordering::Relaxed);
-            if shared
-                .dispatcher
-                .complete(*job_id, *cell, report.clone(), device_writes)
-            {
+            // The cell is cached and recorded before the dispatcher
+            // lets its job finish: a resubmission the moment the job
+            // completes must hit the cache for every cell.
+            let outcome = report.clone();
+            let publish = move || {
                 if let Some(cache) = &shared.cache {
                     // Best-effort durability: an unwritable cache disk
                     // costs future hits, never the in-flight job.
@@ -379,7 +380,10 @@ fn run_assignment(
                 shared
                     .queue
                     .record_cell(*job_id, *cell, report, scheme, workload, device_writes);
-            }
+            };
+            shared
+                .dispatcher
+                .complete(*job_id, *cell, outcome, device_writes, publish);
             Ok(())
         }
         Ok(CellOutcome::Saturated { retry_after_ms }) => {
@@ -541,10 +545,7 @@ fn handle_connection(stream: &TcpStream, shared: &Arc<Shared>, local_addr: Socke
             Ok(frame) => frame,
             Err(twl_service::FrameError::Closed) => return,
             Err(twl_service::FrameError::Io(e)) => {
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) {
+                if is_idle_timeout(&e) {
                     counter!("twl.fleet.idle_timeouts").inc();
                     let _ = send(
                         stream,

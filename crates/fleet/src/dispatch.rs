@@ -6,7 +6,10 @@
 //!
 //! Correctness rests on cell purity: a cell is a deterministic function
 //! of `(spec, index)`, so racing duplicates are safe — the first
-//! completion wins and every later one is discarded.
+//! completion wins and every later one is discarded. The winner
+//! publishes its report (cache, job record) before the cell counts as
+//! finished, so a job that [`Dispatcher::wait_job`] returns has every
+//! dispatched cell published.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,7 +53,18 @@ struct Task {
     dispatches: u32,
     /// When the oldest in-flight dispatch started (steal eligibility).
     started: Option<Instant>,
+    /// A completion won and is publishing its report; the outcome
+    /// follows once it is done. Nothing requeues or steals the cell
+    /// meanwhile.
+    publishing: bool,
     outcome: Option<Result<(Json, u64), String>>,
+}
+
+impl Task {
+    /// Whether the cell has, or is about to have, its outcome.
+    fn settled(&self) -> bool {
+        self.publishing || self.outcome.is_some()
+    }
 }
 
 #[derive(Debug)]
@@ -116,6 +130,7 @@ impl Dispatcher {
                 attempts: 0,
                 dispatches: 0,
                 started: None,
+                publishing: false,
                 outcome: None,
             },
         );
@@ -162,7 +177,7 @@ impl Dispatcher {
                 .tasks
                 .iter()
                 .filter(|(_, t)| {
-                    t.outcome.is_none()
+                    !t.settled()
                         && t.dispatches >= 1
                         && t.dispatches < MAX_DUPLICATES
                         && !t.cancel.load(Ordering::Relaxed)
@@ -198,20 +213,40 @@ impl Dispatcher {
         }
     }
 
-    /// Records a finished dispatch. Returns `true` only for the first
-    /// completion of the cell — the caller records the report (queue,
-    /// cache) exactly once; late duplicates are discarded.
-    pub fn complete(&self, job_id: u64, cell: u64, report: Json, device_writes: u64) -> bool {
-        let mut state = self.lock();
-        let Some(task) = state.tasks.get_mut(&(job_id, cell)) else {
-            return false;
-        };
-        task.dispatches = task.dispatches.saturating_sub(1);
-        if task.outcome.is_some() {
-            return false;
+    /// Records a finished dispatch. Only the first completion of a cell
+    /// counts: it runs `publish` (the caller's cache write-back and job
+    /// record) and only then makes the outcome visible to
+    /// [`Dispatcher::wait_job`], so a finished job never has a cell
+    /// still unpublished. Returns whether this completion won; late
+    /// duplicates are discarded without calling `publish`.
+    pub fn complete(
+        &self,
+        job_id: u64,
+        cell: u64,
+        report: Json,
+        device_writes: u64,
+        publish: impl FnOnce(),
+    ) -> bool {
+        {
+            let mut state = self.lock();
+            let Some(task) = state.tasks.get_mut(&(job_id, cell)) else {
+                return false;
+            };
+            task.dispatches = task.dispatches.saturating_sub(1);
+            if task.settled() {
+                return false;
+            }
+            task.publishing = true;
         }
-        task.outcome = Some(Ok((report, device_writes)));
-        counter!("twl.fleet.cells.completed").inc();
+        // Outside the lock: publishing writes to disk, and the other
+        // slots keep dispatching meanwhile.
+        publish();
+        let mut state = self.lock();
+        // A cancel may have purged the job while the report published.
+        if let Some(task) = state.tasks.get_mut(&(job_id, cell)) {
+            task.outcome = Some(Ok((report, device_writes)));
+            counter!("twl.fleet.cells.completed").inc();
+        }
         drop(state);
         self.finished.notify_all();
         true
@@ -227,7 +262,7 @@ impl Dispatcher {
             return;
         };
         task.dispatches = task.dispatches.saturating_sub(1);
-        if task.outcome.is_some() || task.dispatches > 0 {
+        if task.settled() || task.dispatches > 0 {
             // A duplicate is still running (or the cell already
             // finished) — this broken dispatch costs nothing.
             return;
@@ -259,7 +294,7 @@ impl Dispatcher {
             return;
         };
         task.dispatches = task.dispatches.saturating_sub(1);
-        if task.outcome.is_some() || task.dispatches > 0 {
+        if task.settled() || task.dispatches > 0 {
             return;
         }
         task.started = None;
@@ -389,12 +424,61 @@ mod tests {
         enqueue_cell(&d, 1, 0);
         let a = d.next().unwrap();
         assert!(!a.stolen);
-        assert!(d.complete(1, 0, Json::Null, 10), "first completion wins");
-        assert!(!d.complete(1, 0, Json::Null, 10), "duplicate discarded");
+        assert!(
+            d.complete(1, 0, Json::Null, 10, || {}),
+            "first completion wins"
+        );
+        assert!(
+            !d.complete(1, 0, Json::Null, 10, || panic!("duplicate published")),
+            "duplicate discarded"
+        );
         let done = d
             .wait_job(1, &[0], &AtomicBool::new(false))
             .expect("job completes");
         assert_eq!(done.get(&0), Some(&(Json::Null, 10)));
+    }
+
+    #[test]
+    fn a_job_finishes_only_after_its_cells_published() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+        let d = Dispatcher::new(Duration::from_millis(1), 3);
+        enqueue_cell(&d, 1, 0);
+        d.next().unwrap();
+        let published = AtomicBool::new(false);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        let (d, published) = (&d, &published);
+        std::thread::scope(|s| {
+            // Owned here, so a failed assertion drops it and unblocks
+            // the publisher instead of hanging the scope.
+            let release_tx = release_tx;
+            s.spawn(move || {
+                d.complete(1, 0, Json::Null, 5, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    published.store(true, Ordering::SeqCst);
+                })
+            });
+            started_rx.recv().unwrap();
+            // Mid-publish, the cell is neither stealable nor finished.
+            assert!(d.lock().tasks[&(1, 0)].settled());
+            s.spawn(move || {
+                let done = d.wait_job(1, &[0], &AtomicBool::new(false));
+                done_tx
+                    .send((done, published.load(Ordering::SeqCst)))
+                    .unwrap();
+            });
+            assert!(
+                done_rx.recv_timeout(Duration::from_millis(100)).is_err(),
+                "job finished while its cell was still publishing"
+            );
+            release_tx.send(()).unwrap();
+            let (done, was_published) = done_rx.recv().unwrap();
+            assert!(was_published, "job finished before publish returned");
+            assert_eq!(done.unwrap().get(&0), Some(&(Json::Null, 5)));
+        });
     }
 
     #[test]
@@ -427,7 +511,7 @@ mod tests {
             d.release_saturated(a.job_id, a.cell);
         }
         let a = d.next().unwrap();
-        assert!(d.complete(a.job_id, a.cell, Json::Null, 1));
+        assert!(d.complete(a.job_id, a.cell, Json::Null, 1, || {}));
         assert!(d.wait_job(1, &[0], &AtomicBool::new(false)).is_ok());
     }
 
@@ -443,7 +527,7 @@ mod tests {
         assert_eq!((duplicate.job_id, duplicate.cell), (1, 0));
         // The duplicate finishes first; the original's late failure
         // must not resurrect the cell.
-        assert!(d.complete(1, 0, Json::Null, 7));
+        assert!(d.complete(1, 0, Json::Null, 7, || {}));
         d.fail_attempt(1, 0, "original worker timed out");
         let done = d.wait_job(1, &[0], &AtomicBool::new(false)).unwrap();
         assert_eq!(done.get(&0), Some(&(Json::Null, 7)));

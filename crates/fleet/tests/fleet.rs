@@ -230,6 +230,62 @@ fn fleet_sweep_is_bit_identical_and_warm_resubmission_recomputes_nothing() {
     std::fs::remove_dir_all(&cache_dir).ok();
 }
 
+/// A job counts as finished only once every dispatched cell is cached.
+/// Each round submits a cold job plus an identical twin queued behind
+/// it (one planner, so the twin's cache lookups start the instant the
+/// cold job finishes), then resubmits once more after both results
+/// arrived. Neither the twin nor the resubmission may dispatch a cell.
+#[test]
+fn resubmitting_the_moment_a_job_finishes_hits_the_cache_for_every_cell() {
+    let worker = spawn_worker(2);
+    let cache_dir =
+        std::env::temp_dir().join(format!("twl-fleet-cache-race-{}", std::process::id()));
+    std::fs::remove_dir_all(&cache_dir).ok();
+    let coordinator = spawn_coordinator(FleetConfig {
+        workers: vec![worker.clone()],
+        cache_dir: Some(cache_dir.clone()),
+        planners: 1,
+        ..base_config()
+    });
+    let mut client = Client::connect(&coordinator).expect("connect to coordinator");
+    let submit = |client: &mut Client, spec: &JobSpec| match client.submit(spec).expect("submit") {
+        SubmitOutcome::Accepted(id) => id,
+        SubmitOutcome::Rejected { reason, .. } => panic!("submit rejected: {reason}"),
+    };
+    for round in 0..20 {
+        let spec = small_matrix(100 + round);
+        let served_before = cells_served_by(&coordinator, &[&worker]);
+        let ids = [submit(&mut client, &spec), submit(&mut client, &spec)];
+        let mut results: Vec<String> = ids
+            .iter()
+            .map(|&id| client.wait(id, |_| {}).expect("job result").to_compact())
+            .collect();
+        let id = submit(&mut client, &spec);
+        results.push(client.wait(id, |_| {}).expect("job result").to_compact());
+        let served_after = cells_served_by(&coordinator, &[&worker]);
+        assert!(
+            results.iter().all(|r| *r == results[0]),
+            "round {round}: results differ"
+        );
+        #[allow(clippy::cast_precision_loss)]
+        let cells = spec.cell_count() as f64;
+        assert_eq!(
+            served_after - served_before,
+            cells,
+            "round {round}: a resubmission dispatched a cell the cold job had not cached"
+        );
+    }
+    Client::connect(&coordinator)
+        .expect("shutdown connection")
+        .shutdown()
+        .expect("coordinator shutdown");
+    Client::connect(&worker)
+        .expect("worker shutdown connection")
+        .shutdown()
+        .expect("worker shutdown");
+    std::fs::remove_dir_all(&cache_dir).ok();
+}
+
 /// How a fake (misbehaving) worker treats `run_cell`.
 #[derive(Clone, Copy, PartialEq)]
 enum FakeMode {

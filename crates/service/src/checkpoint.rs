@@ -9,13 +9,17 @@
 //! resumed daemon re-runs only the missing cells and the assembled
 //! result is bit-identical to an uninterrupted run.
 //!
-//! Files are written to `job-<id>.json.tmp` and renamed into place, so
-//! a crash mid-write never corrupts an existing checkpoint.
+//! Files are written to a temp file unique to each save and renamed
+//! into place, so a crash mid-write never corrupts an existing
+//! checkpoint, and two threads saving one job at once (the submit
+//! handler and the worker that claimed the job) never share a temp
+//! file. The last rename wins; both documents are whole.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use twl_telemetry::json::{int, str, Json};
 
@@ -113,21 +117,28 @@ impl CheckpointDir {
         self.dir.join(format!("job-{job_id}.json"))
     }
 
-    /// Atomically writes `cp` (temp file + rename).
+    /// Atomically writes `cp` (temp file + rename). Safe to call from
+    /// several threads for the same job.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, cp: &Checkpoint) -> io::Result<()> {
+        static SAVES: AtomicU64 = AtomicU64::new(0);
         let path = self.path_for(cp.job_id);
-        let tmp = path.with_extension("json.tmp");
+        let tmp = path.with_extension(format!(
+            "json.{}-{}.tmp",
+            std::process::id(),
+            SAVES.fetch_add(1, Ordering::Relaxed)
+        ));
         fs::write(&tmp, cp.to_json().to_compact())?;
         fs::rename(&tmp, &path)
     }
 
-    /// Loads every parseable checkpoint, sorted by job id. Unparseable
-    /// files are skipped with a warning on stderr — a half-written temp
-    /// file or a schema from the future must not brick the daemon.
+    /// Loads every parseable checkpoint, sorted by job id. Temp files
+    /// left by a crash mid-save are ignored; unparseable checkpoints
+    /// are skipped with a warning on stderr — a schema from the future
+    /// must not brick the daemon.
     ///
     /// # Errors
     ///
@@ -224,6 +235,61 @@ mod tests {
         dir.save(&cp).unwrap();
         let loaded = dir.load_all().unwrap();
         assert_eq!(loaded, vec![cp]);
+        fs::remove_dir_all(&dirpath).ok();
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_job_all_succeed() {
+        let dirpath = temp_dir("concurrent");
+        let dir = CheckpointDir::open(&dirpath).unwrap();
+        let cp = |status: &str| Checkpoint {
+            job_id: 3,
+            spec: spec(),
+            status: status.to_owned(),
+            completed_cells: BTreeMap::new(),
+            result: None,
+            error: None,
+        };
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for status in ["queued", "running"] {
+                let (dir, start, cp) = (&dir, &start, cp(status));
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..200 {
+                        dir.save(&cp).expect("concurrent save");
+                    }
+                });
+            }
+        });
+        let loaded = dir.load_all().unwrap();
+        assert_eq!(loaded.len(), 1);
+        assert!(
+            loaded == vec![cp("queued")] || loaded == vec![cp("running")],
+            "final checkpoint is one of the saved documents"
+        );
+        fs::remove_dir_all(&dirpath).ok();
+    }
+
+    #[test]
+    fn leftover_temp_files_are_ignored() {
+        let dirpath = temp_dir("leftover");
+        let dir = CheckpointDir::open(&dirpath).unwrap();
+        let cp = Checkpoint {
+            job_id: 4,
+            spec: spec(),
+            status: "queued".to_owned(),
+            completed_cells: BTreeMap::new(),
+            result: None,
+            error: None,
+        };
+        dir.save(&cp).unwrap();
+        let text = cp.to_json().to_compact();
+        // A whole temp document and a torn one, as a crash mid-save
+        // leaves them.
+        fs::write(dirpath.join("job-4.json.1-0.tmp"), &text).unwrap();
+        fs::write(dirpath.join("job-5.json.1-1.tmp"), &text[..text.len() / 2]).unwrap();
+        assert_eq!(dir.load_all().unwrap(), vec![cp]);
         fs::remove_dir_all(&dirpath).ok();
     }
 

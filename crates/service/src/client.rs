@@ -10,6 +10,7 @@ use twl_telemetry::json::Json;
 
 use crate::framing::{read_frame, write_frame, FrameError};
 use crate::job::JobSpec;
+use crate::net::prepare_stream;
 use crate::wire::{JobEvent, JobSnapshot, Request, Response, PROTOCOL};
 
 /// Why a client call failed.
@@ -159,7 +160,7 @@ impl Client {
                 connected.ok_or(last)?
             }
         };
-        stream.set_read_timeout(read_timeout)?;
+        prepare_stream(&stream, read_timeout)?;
         let mut client = Self {
             stream,
             slots: None,

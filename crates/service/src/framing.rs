@@ -61,6 +61,11 @@ impl std::error::Error for FrameError {}
 
 /// Writes one frame and flushes the stream.
 ///
+/// Header and payload leave in a single `write_all`: on a TCP socket,
+/// two small writes per frame meet Nagle's algorithm on one side and
+/// the peer's delayed ACK on the other, which stalls every request by
+/// ~40 ms (see also [`crate::net::prepare_stream`]).
+///
 /// # Errors
 ///
 /// Propagates I/O errors from the underlying writer.
@@ -79,8 +84,10 @@ pub fn write_frame(w: &mut impl Write, frame: &Json) -> io::Result<()> {
         bytes.len()
     );
     let len = u32::try_from(bytes.len()).expect("MAX_FRAME_BYTES fits in u32");
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut wire = Vec::with_capacity(4 + bytes.len());
+    wire.extend_from_slice(&len.to_be_bytes());
+    wire.extend_from_slice(bytes);
+    w.write_all(&wire)?;
     w.flush()
 }
 
@@ -138,6 +145,82 @@ mod tests {
         write_frame(&mut buf, &frame).unwrap();
         let back = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(back, frame);
+    }
+
+    /// Counts `write` calls: a frame that leaves in more than one
+    /// meets Nagle's algorithm and the peer's delayed ACK on TCP.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_of_header_and_payload() {
+        let mut w = CountingWriter::default();
+        for (i, frame) in [
+            Json::obj([]),
+            Json::obj([("type", str("status")), ("job_id", int(7))]),
+            str(&"é".repeat(70_000)),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let before = w.bytes.len();
+            write_frame(&mut w, frame).unwrap();
+            assert_eq!(w.writes, i + 1, "frame {i} took more than one write");
+            let payload = frame.to_compact();
+            let len = u32::try_from(payload.len()).unwrap();
+            assert_eq!(
+                w.bytes[before..],
+                [&len.to_be_bytes()[..], payload.as_bytes()].concat()[..]
+            );
+        }
+    }
+
+    /// A real 28-cell `degradation_matrix` result — the largest frame
+    /// the fleet sends — survives framing and parsing byte for byte.
+    #[test]
+    fn degradation_matrix_result_round_trips_byte_for_byte() {
+        use crate::job::{encode_result, JobKind, JobSpec};
+        use twl_attacks::AttackKind;
+        use twl_faults::FaultConfig;
+        use twl_lifetime::{SchemeKind, SimLimits};
+        use twl_pcm::PcmConfig;
+
+        let spec = JobSpec {
+            kind: JobKind::DegradationMatrix,
+            pcm: PcmConfig::scaled(128, 500, 21),
+            limits: SimLimits::default(),
+            schemes: SchemeKind::ALL.iter().map(|&k| k.into()).collect(),
+            attacks: AttackKind::ALL.iter().map(|&a| a.into()).collect(),
+            benchmarks: vec![],
+            fault: Some(FaultConfig {
+                seed: 21,
+                ..FaultConfig::default()
+            }),
+        };
+        assert_eq!(spec.cell_count(), 28);
+        let result = encode_result(spec.kind, (0..28).map(|i| spec.run_cell(i).0).collect());
+        let text = result.to_compact();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &result).unwrap();
+        assert_eq!(&buf[4..], text.as_bytes());
+        let back = read_frame(&mut buf.as_slice()).unwrap();
+        assert_eq!(back, result);
+        assert_eq!(back.to_compact(), text);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use checkpoint::{Checkpoint, CheckpointDir, CHECKPOINT_SCHEMA};
 pub use client::{CellOutcome, Client, ClientError, SubmitOutcome, BACKOFF_CAP_MS};
 pub use framing::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 pub use job::{decode_result, encode_result, JobKind, JobReports, JobSpec};
-pub use net::{apply_idle_timeout, guard_frame_len, idle_deadline, is_idle_timeout};
+pub use net::{guard_frame_len, idle_deadline, is_idle_timeout, prepare_stream};
 pub use queue::{JobQueue, JobStatus, SubmitRejection};
 pub use server::{
     render_metrics_page, stream_job, Server, ServiceConfig, EXIT_AFTER_CHECKPOINTS_ENV,

@@ -1,12 +1,16 @@
 //! Connection-robustness helpers shared by every TCP daemon in the
 //! workspace (`twl-serviced`, `twl-coordinator`, `twl-blockd`).
 //!
-//! Two hazards recur in any accept-loop server, whatever its wire
+//! Three hazards recur in any accept-loop server, whatever its wire
 //! format:
 //!
+//! * **Nagle plus delayed ACK** — a request/response protocol whose
+//!   messages are small leaves each one waiting for the peer's delayed
+//!   ACK (~40 ms) unless `TCP_NODELAY` is set. [`prepare_stream`] sets
+//!   it on every socket, accepted or dialed.
 //! * **Half-open peers** — a client that stalls mid-request (or never
 //!   sends one) would pin a connection thread forever. The fix is a
-//!   per-connection read deadline: [`apply_idle_timeout`] arms it and
+//!   per-connection read deadline: [`prepare_stream`] arms it and
 //!   [`is_idle_timeout`] recognizes its expiry, which surfaces as
 //!   `WouldBlock` or `TimedOut` depending on the platform.
 //! * **Hostile length prefixes** — a frame header declaring a huge
@@ -25,13 +29,19 @@ pub fn idle_deadline(ms: u64) -> Option<Duration> {
     (ms > 0).then(|| Duration::from_millis(ms))
 }
 
-/// Arms a connection's read deadline, best-effort: a socket that
-/// refuses the option simply keeps the OS default, which degrades
-/// reaping, not serving.
-pub fn apply_idle_timeout(stream: &TcpStream, idle: Option<Duration>) {
-    if let Some(idle) = idle {
-        let _ = stream.set_read_timeout(Some(idle));
-    }
+/// Readies a connection for request/response traffic: sets
+/// `TCP_NODELAY` and arms the read deadline (`None` leaves reads
+/// unbounded). Every `twl-wire/v1` and NBD socket goes through here,
+/// accepted and dialed alike.
+///
+/// # Errors
+///
+/// Propagates the OS refusing an option. Daemons ignore it: a socket
+/// that keeps the OS defaults is slower or reaped later, but it still
+/// serves.
+pub fn prepare_stream(stream: &TcpStream, idle: Option<Duration>) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(idle)
 }
 
 /// Whether an I/O error is a read-timeout expiry (the idle-connection
@@ -67,6 +77,21 @@ mod tests {
     fn deadline_is_none_when_disabled() {
         assert_eq!(idle_deadline(0), None);
         assert_eq!(idle_deadline(250), Some(Duration::from_millis(250)));
+    }
+
+    #[test]
+    fn prepared_streams_skip_nagle_and_carry_the_deadline() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let dialed = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        for (stream, idle) in [(&dialed, None), (&accepted, idle_deadline(250))] {
+            prepare_stream(stream, idle).unwrap();
+            assert!(stream.nodelay().unwrap());
+            // The kernel rounds a deadline up to its clock tick.
+            let armed = stream.read_timeout().unwrap();
+            assert_eq!(armed.is_some(), idle.is_some());
+            assert!(armed >= idle, "deadline {armed:?} is shorter than {idle:?}");
+        }
     }
 
     #[test]

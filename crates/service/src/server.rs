@@ -174,7 +174,7 @@ impl Server {
             // An idle peer (including a half-open one that sent a
             // partial frame and stalled) is cut loose after the idle
             // timeout, costing that connection only.
-            crate::net::apply_idle_timeout(&stream, self.idle_timeout);
+            let _ = crate::net::prepare_stream(&stream, self.idle_timeout);
             let queue = Arc::clone(&self.queue);
             let checkpoints = self.checkpoints.clone();
             let ctx = ConnCtx {

@@ -141,3 +141,23 @@ fn status_and_cancel_round_trip() {
     // Cancelling a finished job reports `false` rather than erroring.
     assert!(!client.cancel(job_id).expect("cancel reply"));
 }
+
+/// Small request/response frames must not wait out Nagle's algorithm
+/// against the peer's delayed ACK (~40 ms per round trip): 50
+/// sequential round trips on one connection fit in well under a
+/// second, where the Nagle floor alone would take two.
+#[test]
+fn sequential_round_trips_do_not_stall_on_nagle() {
+    let daemon = common::Daemon::spawn(&["--workers", "1"], &[]);
+    let mut client = Client::connect(&daemon.addr).expect("connect");
+    client.status(None).expect("warm-up status");
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        client.status(None).expect("status");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 status round trips took {elapsed:?}"
+    );
+}
