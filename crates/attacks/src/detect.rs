@@ -1,6 +1,5 @@
 //! Latency-based swap-phase detection (§3.2, footnote 1).
 
-use serde::{Deserialize, Serialize};
 use twl_wl_core::WriteOutcome;
 
 /// Detects swap phases from per-request response times.
@@ -27,7 +26,7 @@ use twl_wl_core::WriteOutcome;
 /// out.blocking_cycles = 50_000;
 /// assert!(detector.observe(&out));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwapDetector {
     threshold_cycles: u64,
     detections: u64,

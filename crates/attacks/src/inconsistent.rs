@@ -1,7 +1,6 @@
 //! The inconsistent-write attack (paper §3.2, Fig. 3).
 
 use crate::{AttackStream, SwapDetector};
-use serde::{Deserialize, Serialize};
 use twl_pcm::LogicalPageAddr;
 use twl_wl_core::WriteOutcome;
 
@@ -15,7 +14,7 @@ use twl_wl_core::WriteOutcome;
 /// let config = InconsistentConfig::for_pages(8192);
 /// assert_eq!(config.group_size, 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InconsistentConfig {
     /// Addresses per tier group. The attack uses two groups of this
     /// size (`LA_0 .. LA_{2g-1}`): one plays the *victim* tier (written

@@ -39,7 +39,6 @@ pub use detect::SwapDetector;
 pub use inconsistent::{InconsistentAttack, InconsistentConfig};
 pub use modes::{RandomAttack, RepeatAttack, ScanAttack};
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use twl_pcm::LogicalPageAddr;
 use twl_wl_core::WriteOutcome;
@@ -77,7 +76,7 @@ pub trait AttackStream {
 }
 
 /// The four attack modes of Fig. 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum AttackKind {
     /// Fix one address to write.

@@ -1,6 +1,5 @@
 //! Bloom-filter substrate for BWL (Yun+, DATE 2012).
 
-use serde::{Deserialize, Serialize};
 use twl_rng::SplitMix64;
 
 /// The full-width mix for hash function number `i` over `value`.
@@ -52,7 +51,7 @@ const MAX_INLINE_HASHES: usize = 16;
 /// bf.insert(42);
 /// assert!(bf.contains(42));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
     bits: Vec<u64>,
     m: usize,
@@ -132,7 +131,7 @@ impl BloomFilter {
 /// assert!(cbf.estimate(7) >= 5);
 /// assert_eq!(cbf.estimate(8), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountingBloomFilter {
     counters: Vec<u32>,
     k: u32,

@@ -15,14 +15,13 @@
 //! performance overhead is the largest in Fig. 9).
 
 use crate::{BloomFilter, CountingBloomFilter};
-use serde::{Deserialize, Serialize};
 use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
 use twl_wl_core::{BatchOutcome, ReadOutcome, RemappingTable, WearLeveler, WlStats, WriteOutcome};
 
 /// A persistent hot-list entry: survives epochs until it misses the
 /// (halved) threshold three times in a row, which damps boundary
 /// flicker and the migration churn it would cause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HotEntry {
     la: LogicalPageAddr,
     estimate: u64,
@@ -39,7 +38,7 @@ struct HotEntry {
 /// let config = BwlConfig::for_pages(1024);
 /// assert!(config.epoch_writes > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BwlConfig {
     /// Writes per detection epoch (filters reset at the boundary).
     pub epoch_writes: u64,

@@ -14,12 +14,11 @@
 //! lifetime-extension comparison point, not as part of the paper's
 //! Fig. 6/8 grids (the paper uses it as related work only).
 
-use serde::{Deserialize, Serialize};
 use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
 use twl_wl_core::{ReadOutcome, WearLeveler, WlStats, WriteOutcome};
 
 /// Configuration of [`OnDemandPagePairing`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Od3pConfig {
     /// Stop accepting new guests once this fraction of pages has
     /// failed: the device is considered end-of-life (capacity and

@@ -15,7 +15,6 @@
 //! quickly to concentrated traffic — a region's refresh counter advances
 //! with *its own* write traffic, so a hammered region re-keys faster.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
@@ -50,7 +49,7 @@ impl Error for SrError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SrConfig {
     /// Pages per inner region (power of two).
     pub inner_region_pages: u64,

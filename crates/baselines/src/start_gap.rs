@@ -7,7 +7,6 @@
 //! origin of both Security Refresh's design and TWL's Feistel RNG, and
 //! as an extra PV-unaware baseline for the benches.
 
-use serde::{Deserialize, Serialize};
 use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
 use twl_rng::FeistelPermutation;
 use twl_wl_core::{BatchOutcome, ReadOutcome, WearLeveler, WlStats, WriteOutcome};
@@ -22,7 +21,7 @@ use twl_wl_core::{BatchOutcome, ReadOutcome, WearLeveler, WlStats, WriteOutcome}
 /// let config = StartGapConfig::default();
 /// assert_eq!(config.gap_interval, 100);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StartGapConfig {
     /// Writes between gap movements (the paper's ψ = 100).
     pub gap_interval: u64,

@@ -11,7 +11,6 @@
 //! defeats: the swap phase *publishes* the weak frames by parking the
 //! attacker's coldest addresses on them.
 
-use serde::{Deserialize, Serialize};
 use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
 use twl_wl_core::{
     ReadOutcome, RemappingTable, WearLeveler, WlStats, WriteCounterTable, WriteOutcome,
@@ -27,7 +26,7 @@ use twl_wl_core::{
 /// let config = WrlConfig::for_pages(1024);
 /// assert_eq!(config.running_multiple, 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WrlConfig {
     /// Length of the prediction phase in logical writes.
     pub prediction_writes: u64,

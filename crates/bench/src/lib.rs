@@ -152,48 +152,6 @@ pub fn finish_telemetry() {
     twl_telemetry::clear_sinks();
 }
 
-/// Renders a fixed-width table — a header row, a separator, then rows —
-/// as a string ending in a newline. The `twl-ctl` client renders remote
-/// job results through this exact function so daemon output matches the
-/// bench binaries'.
-///
-/// # Panics
-///
-/// Panics if a row's length differs from the header's.
-#[must_use]
-pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        assert_eq!(row.len(), headers.len(), "ragged table row");
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    let mut out = String::new();
-    let line = |out: &mut String, cells: &[String]| {
-        let joined: Vec<String> = cells
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect();
-        out.push_str("  ");
-        out.push_str(&joined.join("  "));
-        out.push('\n');
-    };
-    line(
-        &mut out,
-        &headers.iter().map(|h| (*h).to_owned()).collect::<Vec<_>>(),
-    );
-    let total: usize = widths.iter().sum::<usize>() + 2 * widths.len();
-    out.push_str("  ");
-    out.push_str(&"-".repeat(total));
-    out.push('\n');
-    for row in rows {
-        line(&mut out, row);
-    }
-    out
-}
-
 /// Prints a fixed-width table: a header row, a separator, then rows.
 ///
 /// When the `TWL_BENCH_CSV_DIR` environment variable names a directory,
@@ -209,7 +167,7 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             eprintln!("warning: could not write CSV to {dir}: {e}");
         }
     }
-    print!("{}", format_table(headers, rows));
+    print!("{}", twl_telemetry::format_table(headers, rows));
 }
 
 /// Writes the table as CSV into `dir`, naming the file after the
@@ -293,23 +251,6 @@ mod tests {
         assert!(content.starts_with("a,b\n"));
         assert!(content.contains("\"x,y\""));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn format_table_aligns_columns() {
-        let rendered = format_table(
-            &["scheme", "years"],
-            &[
-                vec!["NOWL".into(), "0.5".into()],
-                vec!["TWL_swp".into(), "12.25".into()],
-            ],
-        );
-        let lines: Vec<&str> = rendered.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("scheme"));
-        assert!(lines[1].chars().all(|c| c == '-' || c == ' '));
-        assert!(lines[3].contains("TWL_swp"));
-        assert!(rendered.ends_with('\n'));
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! connection is handled on its own thread against a shared
 //! [`BlockStore`] + [`WearGateway`] pair behind one mutex (NBD traffic
 //! is request/response, so the lock hold time is one operation). The
-//! control port speaks the same `twl-wire/v1` frames as `twl-serviced`,
-//! which makes `twl-ctl metrics --lint` and `twl-top` work against a
-//! block daemon unmodified.
+//! control port runs the shared `twl-wire/v1` loop
+//! ([`twl_service::serve`]) with the robustness contract of every
+//! daemon, which makes `twl-ctl metrics --lint` and `twl-top` work
+//! against a block daemon unmodified.
 //!
 //! Persistence: with a `--state-dir`, FLUSH, client disconnect, and
 //! shutdown atomically persist the data image (`store.img`), the
@@ -28,10 +29,10 @@ use std::time::{Duration, Instant};
 
 use twl_pcm::LogicalPageAddr;
 use twl_service::{
-    idle_deadline, is_idle_timeout, prepare_stream, read_frame, render_metrics_page, write_frame,
-    FrameError, JobQueue, Request, Response, PROTOCOL,
+    idle_deadline, is_idle_timeout, prepare_stream, serve, Reply, Request, Response, WireHandler,
 };
 use twl_telemetry::json::{int, str, Json};
+use twl_telemetry::prom::render_exposition;
 use twl_telemetry::{counter, gauge, histogram};
 use twl_workloads::{read_trace, write_trace, MemCmd};
 
@@ -88,14 +89,9 @@ struct DeviceState {
 struct Shared {
     geometry: BlockGeometry,
     state: Mutex<DeviceState>,
-    // Only `render_metrics_page` needs a queue and the block daemon has
-    // no jobs; an empty one renders the plain exposition.
-    queue: JobQueue,
     state_dir: Option<PathBuf>,
     idle: Option<Duration>,
     shutdown: AtomicBool,
-    data_addr: SocketAddr,
-    control_addr: SocketAddr,
 }
 
 impl Shared {
@@ -189,12 +185,9 @@ impl BlockServer {
         let shared = Arc::new(Shared {
             geometry: config.geometry(),
             state: Mutex::new(state),
-            queue: JobQueue::new(1, 1000),
             state_dir: config.state_dir.clone(),
             idle: idle_deadline(config.idle_timeout_ms),
             shutdown: AtomicBool::new(false),
-            data_addr,
-            control_addr,
         });
         shared.refresh_gauges();
         Ok(Self {
@@ -225,46 +218,43 @@ impl BlockServer {
     ///
     /// Propagates accept-loop failures and the final persist.
     pub fn run(self) -> io::Result<()> {
-        let control_shared = Arc::clone(&self.shared);
-        let control = self.control;
-        let control_loop = thread::spawn(move || {
-            for stream in control.incoming() {
-                if control_shared.shutdown.load(Ordering::SeqCst) {
+        let shared = Arc::clone(&self.shared);
+        let data = self.data;
+        let data_loop = thread::spawn(move || {
+            for stream in data.incoming() {
+                if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                let _ = prepare_stream(&stream, control_shared.idle);
-                let shared = Arc::clone(&control_shared);
-                thread::spawn(move || handle_control(&shared, stream));
+                counter!("twl.blockdev.connections").inc();
+                let _ = prepare_stream(&stream, shared.idle);
+                let shared = Arc::clone(&shared);
+                thread::spawn(move || {
+                    if let Err(e) = handle_data_connection(&shared, stream) {
+                        match e {
+                            NbdError::Closed => {}
+                            NbdError::Protocol(_) => {
+                                counter!("twl.blockdev.protocol_errors").inc();
+                            }
+                            NbdError::Io(ref io_err) if is_idle_timeout(io_err) => {
+                                counter!("twl.blockdev.idle_timeouts").inc();
+                            }
+                            _ => counter!("twl.blockdev.errors").inc(),
+                        }
+                    }
+                    // A client that vanished mid-session still leaves a
+                    // consistent snapshot behind.
+                    let _ = shared.persist();
+                });
             }
         });
-        for stream in self.data.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            counter!("twl.blockdev.connections").inc();
-            let _ = prepare_stream(&stream, self.shared.idle);
-            let shared = Arc::clone(&self.shared);
-            thread::spawn(move || {
-                if let Err(e) = handle_data_connection(&shared, stream) {
-                    match e {
-                        NbdError::Closed => {}
-                        NbdError::Protocol(_) => {
-                            counter!("twl.blockdev.protocol_errors").inc();
-                        }
-                        NbdError::Io(ref io_err) if is_idle_timeout(io_err) => {
-                            counter!("twl.blockdev.idle_timeouts").inc();
-                        }
-                        _ => counter!("twl.blockdev.errors").inc(),
-                    }
-                }
-                // A client that vanished mid-session still leaves a
-                // consistent snapshot behind.
-                let _ = shared.persist();
-            });
-        }
-        let _ = control_loop.join();
+        let served = serve(&self.control, self.shared.idle, &self.shared);
+        // The control loop has returned (shutdown, or an error): stop
+        // the data loop too.
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.data_addr);
+        let _ = data_loop.join();
+        served?;
         self.shared.persist()
     }
 
@@ -480,64 +470,38 @@ fn serve_trim(shared: &Shared, offset: u64, len: u32) -> u32 {
     }
 }
 
-/// One control connection: `twl-wire/v1` frames until the peer closes.
-fn handle_control(shared: &Shared, mut stream: TcpStream) {
-    loop {
-        let frame = match read_frame(&mut stream) {
-            Ok(frame) => frame,
-            Err(FrameError::Closed) => return,
-            Err(FrameError::Io(ref e)) if is_idle_timeout(e) => {
-                counter!("twl.blockdev.idle_timeouts").inc();
-                return;
-            }
-            Err(_) => {
-                counter!("twl.blockdev.protocol_errors").inc();
-                return;
-            }
-        };
-        let response = match Request::from_json(&frame) {
-            Ok(Request::Hello { proto }) if proto == PROTOCOL => Response::HelloOk {
-                proto: PROTOCOL.to_owned(),
-                slots: None,
-            },
-            Ok(Request::Hello { proto }) => Response::Error {
-                message: format!("unsupported protocol `{proto}`"),
-            },
-            Ok(Request::Metrics) => {
-                shared.refresh_gauges();
-                Response::MetricsOk {
-                    text: render_metrics_page(&shared.queue),
-                }
-            }
-            Ok(Request::Status { .. }) => Response::StatusOk { jobs: Vec::new() },
-            Ok(Request::Shutdown) => {
-                let persisted = shared.persist();
-                shared.shutdown.store(true, Ordering::SeqCst);
-                // Poke both accept loops so they observe the flag.
-                let _ = TcpStream::connect(shared.data_addr);
-                let _ = TcpStream::connect(shared.control_addr);
-                let _ = write_frame(
-                    &mut stream,
-                    &match persisted {
-                        Ok(()) => Response::ShutdownOk,
-                        Err(e) => Response::Error {
-                            message: format!("persist failed: {e}"),
-                        },
-                    }
-                    .to_json(),
-                );
-                return;
-            }
-            Ok(_) => Response::Error {
-                message: "twl-blockd serves hello/status/metrics/shutdown only".to_owned(),
-            },
-            Err(e) => {
-                counter!("twl.blockdev.protocol_errors").inc();
-                Response::Error { message: e }
-            }
-        };
-        if write_frame(&mut stream, &response.to_json()).is_err() {
-            return;
+/// The control port's side of the shared `twl-wire/v1` loop: an empty
+/// `status`, the `twl_blockdev_*` metrics page, and a persisting
+/// shutdown.
+impl WireHandler for Shared {
+    fn name(&self) -> &'static str {
+        "twl-blockd"
+    }
+
+    fn respond(&self, request: Request) -> Option<Reply<'_>> {
+        match request {
+            Request::Status { .. } => Some(Reply::Frame(Response::StatusOk { jobs: Vec::new() })),
+            _ => None,
         }
+    }
+
+    fn metrics(&self) -> String {
+        self.refresh_gauges();
+        render_exposition(&twl_telemetry::global().snapshot())
+    }
+
+    fn shutdown(&self) -> Response {
+        let persisted = self.persist();
+        self.shutdown.store(true, Ordering::SeqCst);
+        match persisted {
+            Ok(()) => Response::ShutdownOk,
+            Err(e) => Response::Error {
+                message: format!("persist failed: {e}"),
+            },
+        }
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
     }
 }

@@ -1,7 +1,5 @@
 //! Cache-level configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one cache level.
 ///
 /// # Examples
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// let l2 = CacheConfig::l2_dac17();
 /// assert_eq!(l2.sets(), 2 * 1024 * 1024 / 128 / 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,

@@ -1,11 +1,10 @@
 //! A synthetic program-level (pre-cache) access generator.
 
-use serde::{Deserialize, Serialize};
 use twl_rng::{SimRng, Xoshiro256StarStar};
 use twl_workloads::Zipf;
 
 /// Configuration of a [`CpuWorkload`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuWorkloadConfig {
     /// Memory footprint in bytes.
     pub footprint_bytes: u64,

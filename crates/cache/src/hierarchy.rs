@@ -1,12 +1,11 @@
 //! The L1 → L2 → PCM stack.
 
 use crate::{Cache, CacheConfig, CacheStats};
-use serde::{Deserialize, Serialize};
 use twl_pcm::LogicalPageAddr;
 use twl_workloads::MemCmd;
 
 /// Aggregate statistics of a hierarchy run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HierarchyStats {
     /// L1 counters.
     pub l1: CacheStats,

@@ -1,7 +1,6 @@
 //! One set-associative, write-back, write-allocate cache level.
 
 use crate::CacheConfig;
-use serde::{Deserialize, Serialize};
 
 /// A cache way: the line's tag, dirty bit, and LRU timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,7 +21,7 @@ impl Way {
 }
 
 /// Outcome of one cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessResult {
     /// Whether the line was present.
     pub hit: bool,
@@ -35,7 +34,7 @@ pub struct AccessResult {
 }
 
 /// Running hit/miss/write-back counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Accesses that hit.
     pub hits: u64,

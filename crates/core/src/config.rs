@@ -1,7 +1,6 @@
 //! TWL configuration.
 
 use crate::PairingStrategy;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -38,7 +37,7 @@ impl Error for TwlConfigError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TwlConfig {
     /// Trigger the toss-up every this many writes to a page (§4.3).
     pub toss_up_interval: u64,

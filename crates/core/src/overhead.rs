@@ -11,7 +11,6 @@
 //! so the overhead scales correctly for scaled simulation devices too.
 
 use crate::TwlConfig;
-use serde::{Deserialize, Serialize};
 use twl_pcm::PcmConfig;
 use twl_rng::FeistelRng;
 
@@ -32,7 +31,7 @@ pub const DIVIDER_COMPARATOR_GATES: u64 = 718;
 /// assert_eq!(overhead.bits_per_page(), 80);
 /// assert!(overhead.total_gates() < 900);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwlOverhead {
     /// Write-counter-table entry width (paper: 7 bits).
     pub wct_bits: u32,

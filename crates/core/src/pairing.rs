@@ -1,6 +1,5 @@
 //! Toss-up pair construction (the SWPT of Fig. 5).
 
-use serde::{Deserialize, Serialize};
 use twl_pcm::{EnduranceMap, PhysicalPageAddr};
 use twl_rng::{SimRng, Xoshiro256StarStar};
 
@@ -10,7 +9,7 @@ use twl_rng::{SimRng, Xoshiro256StarStar};
 /// even out per-pair total endurance; the naive alternative evaluated as
 /// `TWL_ap` in Fig. 6 bonds physically adjacent pages. A uniformly random
 /// bonding is included as an extra ablation point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum PairingStrategy {
     /// Sort pages by endurance; bond the k-th strongest with the k-th
@@ -56,7 +55,7 @@ impl PairingStrategy {
 /// assert_eq!(pairs.partner(PhysicalPageAddr::new(0)).index(), 1);
 /// assert_eq!(pairs.partner(PhysicalPageAddr::new(2)).index(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairTable {
     partner: Vec<u64>,
 }

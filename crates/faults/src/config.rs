@@ -1,7 +1,5 @@
 //! Fault-model and correction-policy configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// How many stuck-at cell-group faults a page can absorb before it is
 /// declared uncorrectable.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 ///   inversion coding. We adopt the simplification that a SAFER-`k`
 ///   page survives up to `groups` failed groups; the dynamic
 ///   repartitioning itself is not simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorrectionPolicy {
     /// ECP-style: one correction entry per failed cell group.
     Ecp {
@@ -61,7 +59,7 @@ impl Default for CorrectionPolicy {
 }
 
 /// Configuration of the cell-level fault model and degradation machinery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Cell groups tracked per page. Each group fails independently once
     /// its own endurance threshold is crossed.

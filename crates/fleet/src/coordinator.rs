@@ -6,9 +6,9 @@
 //!
 //! Thread anatomy:
 //!
-//! * the accept loop, spawning one connection handler per client —
-//!   identical protocol surface to `twl-serviced`, plus
-//!   `register_worker`;
+//! * the shared `twl-wire/v1` loop ([`twl_service::serve`]), one
+//!   thread per client — the same job surface as `twl-serviced`, plus
+//!   `register_worker`, minus `run_cell`;
 //! * planner threads, each claiming a job from the shared [`JobQueue`],
 //!   resolving every cell against the cache (hits stream to the client
 //!   immediately), and parking the misses in the [`Dispatcher`];
@@ -20,20 +20,17 @@
 //!   reports a partial failure naming the lost cells.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use twl_service::framing::{read_frame, write_frame};
 use twl_service::job::encode_result;
 use twl_service::queue::{ClaimedJob, JobQueue, JobStatus};
-use twl_service::wire::{Request, Response, PROTOCOL};
-use twl_service::{
-    is_idle_timeout, prepare_stream, render_metrics_page, stream_job, CellOutcome, Client,
-};
+use twl_service::wire::{Request, Response};
+use twl_service::{job_reply, render_metrics_page, serve, CellOutcome, Client, Reply, WireHandler};
 use twl_telemetry::json::Json;
 use twl_telemetry::prom::PromWriter;
 use twl_telemetry::{counter, gauge};
@@ -178,8 +175,7 @@ impl Coordinator {
         Ok(Self {
             listener,
             shared,
-            idle_timeout: (config.idle_timeout_ms > 0)
-                .then(|| Duration::from_millis(config.idle_timeout_ms)),
+            idle_timeout: twl_service::idle_deadline(config.idle_timeout_ms),
             planners: config.planners.max(1),
         })
     }
@@ -201,7 +197,6 @@ impl Coordinator {
     ///
     /// Propagates accept-loop failures.
     pub fn run(self) -> io::Result<()> {
-        let local_addr = self.local_addr()?;
         let planner_handles: Vec<_> = (0..self.planners)
             .map(|_| {
                 let shared = Arc::clone(&self.shared);
@@ -213,19 +208,8 @@ impl Coordinator {
             })
             .collect();
 
-        for stream in self.listener.incoming() {
-            if self.shared.queue.is_shutting_down() {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            counter!("twl.fleet.connections").inc();
-            let _ = prepare_stream(&stream, self.idle_timeout);
-            let shared = Arc::clone(&self.shared);
-            thread::spawn(move || handle_connection(&stream, &shared, local_addr));
-        }
+        let front = Arc::new(Front(Arc::clone(&self.shared)));
+        serve(&self.listener, self.idle_timeout, &front)?;
 
         // Planners first (they still need workers to drain in-flight
         // jobs), then the dispatcher frees the slot threads.
@@ -530,150 +514,44 @@ fn render_fleet_metrics(shared: &Shared) -> String {
     page
 }
 
-fn send(mut stream: &TcpStream, response: &Response) -> io::Result<()> {
-    write_frame(&mut stream, &response.to_json())
-}
+/// The coordinator's side of the shared `twl-wire/v1` loop: jobs and
+/// `register_worker` are served; `run_cell` is not (the coordinator
+/// schedules cells, it does not execute them).
+struct Front(Arc<Shared>);
 
-/// Serves one client connection — the same `twl-wire/v1` surface as
-/// `twl-serviced`, with `register_worker` served for real and
-/// `run_cell` redirected (the coordinator schedules cells, it does not
-/// execute them).
-fn handle_connection(stream: &TcpStream, shared: &Arc<Shared>, local_addr: SocketAddr) {
-    let mut reader = stream;
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(frame) => frame,
-            Err(twl_service::FrameError::Closed) => return,
-            Err(twl_service::FrameError::Io(e)) => {
-                if is_idle_timeout(&e) {
-                    counter!("twl.fleet.idle_timeouts").inc();
-                    let _ = send(
-                        stream,
-                        &Response::Error {
-                            message: "idle timeout: closing connection".to_owned(),
-                        },
-                    );
-                }
-                return;
-            }
-            Err(e) => {
-                counter!("twl.fleet.protocol_errors").inc();
-                let _ = send(
-                    stream,
-                    &Response::Error {
-                        message: format!("protocol error: {e}"),
-                    },
-                );
-                return;
-            }
-        };
-        let request = match Request::from_json(&frame) {
-            Ok(request) => request,
-            Err(message) => {
-                counter!("twl.fleet.protocol_errors").inc();
-                let _ = send(
-                    stream,
-                    &Response::Error {
-                        message: format!("bad request: {message}"),
-                    },
-                );
-                return;
-            }
-        };
+impl WireHandler for Front {
+    fn name(&self) -> &'static str {
+        "twl-coordinator"
+    }
+
+    fn slots(&self) -> Option<u64> {
+        Some(self.0.total_slots())
+    }
+
+    fn respond(&self, request: Request) -> Option<Reply<'_>> {
         match request {
-            Request::Hello { proto } => {
-                if proto == PROTOCOL {
-                    let response = Response::HelloOk {
-                        proto: PROTOCOL.to_owned(),
-                        slots: Some(shared.total_slots()),
-                    };
-                    if send(stream, &response).is_err() {
-                        return;
-                    }
-                } else {
-                    counter!("twl.fleet.protocol_errors").inc();
-                    let _ = send(
-                        stream,
-                        &Response::Error {
-                            message: format!(
-                                "protocol version mismatch: coordinator speaks {PROTOCOL}, client spoke {proto}"
-                            ),
-                        },
-                    );
-                    return;
-                }
-            }
-            Request::Submit { spec } => {
-                let response = match spec.validate() {
-                    Err(message) => Response::Error {
-                        message: format!("invalid spec: {message}"),
-                    },
-                    Ok(()) => match shared.queue.submit(spec) {
-                        Ok(job_id) => Response::Submitted { job_id },
-                        Err(rejection) => Response::Rejected {
-                            reason: rejection.reason,
-                            retry_after_ms: rejection.retry_after_ms,
-                        },
-                    },
-                };
-                if send(stream, &response).is_err() {
-                    return;
-                }
-            }
-            Request::Status { job_id } => {
-                let jobs = shared.queue.snapshot(job_id);
-                if send(stream, &Response::StatusOk { jobs }).is_err() {
-                    return;
-                }
-            }
-            Request::Stream { job_id } => {
-                if !stream_job(stream, &shared.queue, job_id) {
-                    return;
-                }
-            }
-            Request::Cancel { job_id } => {
-                let response = match shared.queue.cancel(job_id) {
-                    None => Response::Error {
-                        message: format!("unknown job {job_id}"),
-                    },
-                    Some(cancelled) => Response::CancelOk { job_id, cancelled },
-                };
-                if send(stream, &response).is_err() {
-                    return;
-                }
-            }
-            Request::Metrics => {
-                let text = render_fleet_metrics(shared);
-                if send(stream, &Response::MetricsOk { text }).is_err() {
-                    return;
-                }
-            }
-            Request::RunCell { .. } => {
-                let response = Response::Error {
-                    message: "the coordinator schedules cells across workers; submit a job instead"
-                        .to_owned(),
-                };
-                if send(stream, &response).is_err() {
-                    return;
-                }
-            }
             Request::RegisterWorker { addr } => {
-                let response = match register_worker(shared, &addr) {
+                Some(Reply::Frame(match register_worker(&self.0, &addr) {
                     Ok(slots) => Response::WorkerOk { addr, slots },
                     Err(message) => Response::Error { message },
-                };
-                if send(stream, &response).is_err() {
-                    return;
-                }
+                }))
             }
-            Request::Shutdown => {
-                shared.queue.begin_shutdown();
-                let _ = send(stream, &Response::ShutdownOk);
-                // Wake the accept loop so it observes the drain flag.
-                let _ = TcpStream::connect(local_addr);
-                return;
-            }
+            Request::RunCell { .. } => None,
+            other => job_reply(&self.0.queue, None, other),
         }
+    }
+
+    fn metrics(&self) -> String {
+        render_fleet_metrics(&self.0)
+    }
+
+    fn shutdown(&self) -> Response {
+        self.0.queue.begin_shutdown();
+        Response::ShutdownOk
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.0.queue.is_shutting_down()
     }
 }
 

@@ -24,7 +24,6 @@ use crate::sweep::calibration_for;
 use crate::{
     build_scheme_spec, pool, run_attack, Calibration, LifetimeReport, SchemeSpec, SimLimits,
 };
-use serde::{Deserialize, Serialize};
 use twl_pcm::{PcmConfig, PcmDevice, PhysicalPageAddr};
 use twl_rng::SplitMix64;
 use twl_wl_core::WlStats;
@@ -32,7 +31,7 @@ use twl_workloads::WorkloadSpec;
 
 /// One banked run: the deterministic merge plus the per-bank detail it
 /// was folded from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BankedLifetimeReport {
     /// The ordered reduction over all banks — an ordinary report, so
     /// every existing consumer works unchanged.

@@ -1,6 +1,5 @@
 //! Years calibration (DESIGN.md §3).
 
-use serde::{Deserialize, Serialize};
 use twl_pcm::PcmConfig;
 
 /// Seconds per (non-leap) year.
@@ -32,7 +31,7 @@ pub const IDEAL_CALIBRATION: f64 = 1.924;
 /// // §5.2: "an ideal lifetime of 6.6 years" at ~8 GB/s.
 /// assert!((cal.ideal_years() - 6.6).abs() < 0.2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Write bandwidth the lifetime is measured against, in bytes/s.
     pub write_bandwidth_bytes_per_sec: f64,

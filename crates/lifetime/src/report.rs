@@ -1,6 +1,5 @@
 //! Lifetime simulation results.
 
-use serde::{Deserialize, Serialize};
 use twl_pcm::PhysicalPageAddr;
 
 /// Result of one lifetime run.
@@ -15,7 +14,7 @@ use twl_pcm::PhysicalPageAddr;
 ///              100.0 * report.capacity_fraction);
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeReport {
     /// Scheme under test.
     pub scheme: String,
@@ -52,7 +51,7 @@ impl LifetimeReport {
 }
 
 /// Why a degradation run stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradationEnd {
     /// A retirement found the spare pool empty — true end of life.
     SpareExhausted,
@@ -63,7 +62,7 @@ pub enum DegradationEnd {
 
 /// One point on the degradation curve, captured at each page retirement
 /// and at the end of the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradationPoint {
     /// Logical writes serviced so far.
     pub logical_writes: u64,
@@ -86,7 +85,7 @@ pub struct DegradationPoint {
 /// is *physical*: the fraction of frames not yet retired (slots stay
 /// fully serviceable until spares run out, so logical capacity is a step
 /// function that drops to zero exactly at [`DegradationEnd::SpareExhausted`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradationReport {
     /// Scheme under test.
     pub scheme: String,

@@ -15,7 +15,6 @@
 //! JSON — which is also the backward-compatibility story for job specs
 //! and checkpoints written before `SchemeSpec` existed.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -30,7 +29,7 @@ use twl_telemetry::json::{int, str, Json};
 use twl_wl_core::{BatchOutcome, Nowl, ReadOutcome, WearLeveler, WlStats, WriteOutcome};
 
 /// Every scheme the workspace can instantiate, in the paper's naming.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum SchemeKind {
     /// No wear leveling.
@@ -163,7 +162,7 @@ impl fmt::Display for SchemeError {
 impl Error for SchemeError {}
 
 /// TWL parameter overrides (`None` keeps the paper default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TwlParams {
     /// Writes per page between toss-up decisions (paper: 32).
     pub toss_up_interval: Option<u64>,
@@ -180,7 +179,7 @@ pub struct TwlParams {
 }
 
 /// BWL parameter overrides (`None` keeps the scaled preset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct BwlParams {
     /// Writes per epoch.
     pub epoch_writes: Option<u64>,
@@ -192,7 +191,7 @@ pub struct BwlParams {
 
 /// Security Refresh parameter overrides (`None` keeps the
 /// endurance-scaled preset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SrParams {
     /// Inner-level swap interval in writes.
     pub inner_interval: Option<u64>,
@@ -201,7 +200,7 @@ pub struct SrParams {
 }
 
 /// Start-Gap parameter overrides (`None` keeps the default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct StartGapParams {
     /// Writes between gap moves (paper: 100).
     pub gap_interval: Option<u64>,
@@ -213,7 +212,7 @@ pub struct StartGapParams {
 /// other variants carry `Option` override fields for one scheme family.
 /// A variant whose fields are all `None` is semantically `Default`;
 /// [`SchemeSpec::canonical`] normalizes it away.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum SchemeParams {
     /// Paper-default configuration.
@@ -244,7 +243,7 @@ pub enum SchemeParams {
 /// let plain: SchemeSpec = "BWL".parse().unwrap();
 /// assert!(plain.is_default());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SchemeSpec {
     /// The algorithm.
     pub kind: SchemeKind,

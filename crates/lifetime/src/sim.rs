@@ -14,7 +14,6 @@
 //!   [`DegradationReport`] curve.
 
 use crate::{Calibration, DegradationEnd, DegradationPoint, DegradationReport, LifetimeReport};
-use serde::{Deserialize, Serialize};
 use twl_attacks::AttackStream;
 use twl_faults::FaultDomain;
 use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError};
@@ -23,7 +22,7 @@ use twl_wl_core::{AttackMonitor, WearLeveler, WriteOutcome};
 use twl_workloads::SyntheticWorkload;
 
 /// Safety limits for a lifetime run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimLimits {
     /// Maximum logical writes before giving up (a run that has not
     /// killed a page by then reports `completed = false`).

@@ -1,7 +1,5 @@
 //! Timing-model configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the open-loop memory-controller model.
 ///
 /// # Examples
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// let config = MemCtrlConfig::for_bandwidth(3309.0, 4096, 0.55);
 /// assert!(config.inter_arrival_cycles > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemCtrlConfig {
     /// CPU clock the cycle counts refer to (Table 1: 2 GHz).
     pub cpu_hz: f64,

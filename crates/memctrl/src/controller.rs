@@ -10,14 +10,13 @@
 //! [`crate::simulate_execution_banked`].
 
 use crate::{BankArray, MemCtrlConfig};
-use serde::{Deserialize, Serialize};
 use twl_faults::{FaultDomain, FaultEngine};
 use twl_pcm::{PcmDevice, PcmError};
 use twl_wl_core::WearLeveler;
 use twl_workloads::{MemCmd, MemOp};
 
 /// Queue scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulingPolicy {
     /// Strict arrival order across reads and writes.
     Fcfs,
@@ -27,7 +26,7 @@ pub enum SchedulingPolicy {
 }
 
 /// Configuration of [`queued_execution`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControllerConfig {
     /// Scheduling policy.
     pub policy: SchedulingPolicy,
@@ -69,7 +68,7 @@ impl Default for ControllerConfig {
 }
 
 /// Result of a queued-controller simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerReport {
     /// Completion cycle of the last request.
     pub total_cycles: u64,

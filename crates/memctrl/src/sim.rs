@@ -1,7 +1,6 @@
 //! The closed-loop execution-time simulation.
 
 use crate::MemCtrlConfig;
-use serde::{Deserialize, Serialize};
 use twl_pcm::{PcmDevice, PcmError};
 use twl_wl_core::WearLeveler;
 use twl_workloads::{MemCmd, MemOp};
@@ -10,7 +9,7 @@ use twl_workloads::{MemCmd, MemOp};
 ///
 /// Normalize against a NOWL run of the same command stream with
 /// [`PerfReport::normalized_to`] to obtain a Fig. 9 bar.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfReport {
     /// Completion cycle of the last request.
     pub total_cycles: u64,

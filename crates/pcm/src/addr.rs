@@ -4,16 +4,12 @@
 //! (C-NEWTYPE): wear-leveling bugs are overwhelmingly "used an LA where a
 //! PA belongs" bugs, and the type system catches every one of them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! page_addr {
     ($(#[$doc:meta])* $name:ident, $abbr:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(u64);
 
         impl $name {

@@ -1,7 +1,6 @@
 //! Device configuration and builder.
 
 use crate::{PcmError, PcmTiming};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a simulated PCM device.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PcmConfig {
     /// Number of pages in the device. Must be ≥ 2 and even (pairing
     /// schemes bond pages two by two).

@@ -15,8 +15,6 @@
 //! of bits changing for typical workloads; a wear-out attacker writes
 //! adversarial data that flips everything.
 
-use serde::{Deserialize, Serialize};
-
 /// Fraction of bits a typical (benign) page write flips, per the DCW
 /// paper's characterization.
 pub const BENIGN_BIT_FLIP_FRACTION: f64 = 0.15;
@@ -34,7 +32,7 @@ pub const BENIGN_BIT_FLIP_FRACTION: f64 = 0.15;
 /// // An attacker gets no discount.
 /// assert_eq!(DcwModel::adversarial().cell_wear_fraction(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DcwModel {
     /// Probability a line of the page is touched at all by a write.
     pub dirty_line_fraction: f64,

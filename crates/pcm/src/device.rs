@@ -20,10 +20,9 @@
 //! device transparently serves them from healthy frames.
 
 use crate::{EnduranceMap, PcmConfig, PcmError, PhysicalPageAddr, WearStats};
-use serde::{Deserialize, Serialize};
 
 /// What happens when a page's wear reaches its tested endurance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WearPolicy {
     /// Writes past the tested endurance fail with
     /// [`PcmError::PageWornOut`] — the paper's first-wear-out lifetime
@@ -58,7 +57,7 @@ pub enum WearPolicy {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSnapshot {
     config: PcmConfig,
     endurance: EnduranceMap,

@@ -1,7 +1,6 @@
 //! Process-variation endurance map.
 
 use crate::{PcmConfig, PhysicalPageAddr};
-use serde::{Deserialize, Serialize};
 use twl_rng::{GaussianSampler, Xoshiro256StarStar};
 
 /// The per-page endurance values drawn from the process-variation model.
@@ -28,7 +27,7 @@ use twl_rng::{GaussianSampler, Xoshiro256StarStar};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnduranceMap {
     values: Vec<u64>,
 }

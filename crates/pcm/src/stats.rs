@@ -1,7 +1,6 @@
 //! Wear-distribution statistics.
 
 use crate::EnduranceMap;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate wear statistics over a device snapshot.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.max_wear_ratio, 0.5);
 /// assert_eq!(stats.total_writes, 100);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WearStats {
     /// Total writes absorbed across all pages.
     pub total_writes: u64,

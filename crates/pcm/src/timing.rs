@@ -1,7 +1,5 @@
 //! Device timing parameters (Table 1 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// PCM access latencies in CPU cycles, per Table 1 of the paper:
 /// `read/set/reset latency: 250/2000/250-cycle` at 2 GHz.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.read_latency, 250);
 /// assert_eq!(t.write_latency(), 2000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PcmTiming {
     /// Cycles to read a line/page from the array.
     pub read_latency: u64,

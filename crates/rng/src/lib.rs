@@ -14,8 +14,7 @@
 //! * **Simulation RNGs** — [`SplitMix64`] and [`Xoshiro256StarStar`] are
 //!   fast, seedable generators used for everything on the simulation side
 //!   (process-variation sampling, workload generation, attack address
-//!   choices). They implement [`rand::RngCore`] so they compose with the
-//!   `rand` ecosystem.
+//!   choices).
 //!
 //! Every generator is constructed from an explicit seed: two runs of the
 //! simulator with the same seeds produce bit-identical results.

@@ -79,28 +79,6 @@ impl Default for SplitMix64 {
     }
 }
 
-impl rand::RngCore for SplitMix64 {
-    fn next_u32(&mut self) -> u32 {
-        (SplitMix64::next_u64(self) >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        SplitMix64::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = SplitMix64::next_u64(self).to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,14 +99,5 @@ mod tests {
         let mut a = SplitMix64::seed_from(1);
         let mut b = SplitMix64::seed_from(2);
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn fill_bytes_partial_chunk() {
-        use rand::RngCore;
-        let mut rng = SplitMix64::seed_from(5);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

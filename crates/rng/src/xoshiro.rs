@@ -127,28 +127,6 @@ impl Default for Xoshiro256StarStar {
     }
 }
 
-impl rand::RngCore for Xoshiro256StarStar {
-    fn next_u32(&mut self) -> u32 {
-        (Xoshiro256StarStar::next_u64(self) >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        Xoshiro256StarStar::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = Xoshiro256StarStar::next_u64(self).to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

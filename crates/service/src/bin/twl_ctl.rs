@@ -348,7 +348,7 @@ fn print_result(result: &Json, format: Format) -> Result<(), String> {
             JobReports::Lifetime(reports) => {
                 print!(
                     "{}",
-                    twl_bench::format_table(
+                    twl_telemetry::format_table(
                         &[
                             "scheme",
                             "workload",
@@ -367,7 +367,7 @@ fn print_result(result: &Json, format: Format) -> Result<(), String> {
             JobReports::Degradation(reports) => {
                 print!(
                     "{}",
-                    twl_bench::format_table(
+                    twl_telemetry::format_table(
                         &[
                             "scheme",
                             "workload",
@@ -436,7 +436,7 @@ fn print_status(jobs: &[JobSnapshot], format: Format) {
                 .collect();
             print!(
                 "{}",
-                twl_bench::format_table(
+                twl_telemetry::format_table(
                     &["job", "kind", "status", "cells", "wr/s", "eta", "error"],
                     &rows
                 )

@@ -238,7 +238,7 @@ fn render_fleet(fleet: &FleetStats) -> String {
             ]
         })
         .collect();
-    out.push_str(&twl_bench::format_table(
+    out.push_str(&twl_telemetry::format_table(
         &["worker", "slots", "inflight", "served", "failures"],
         &rows,
     ));
@@ -330,7 +330,7 @@ fn render_frame(
         return out;
     }
     let rows: Vec<Vec<String>> = jobs.iter().map(job_row).collect();
-    out.push_str(&twl_bench::format_table(
+    out.push_str(&twl_telemetry::format_table(
         &[
             "job", "kind", "status", "progress", "cells", "writes", "wr/s", "eta", "error",
         ],

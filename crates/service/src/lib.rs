@@ -25,11 +25,14 @@
 //! * [`checkpoint`] — atomic per-job JSON files storing completed
 //!   cells.
 //! * [`queue`] — the bounded job queue with reject-based backpressure.
+//! * [`net`] — the one `twl-wire/v1` server loop ([`serve`] over a
+//!   [`WireHandler`]) shared by every daemon, and socket helpers.
 //! * [`server`] / [`client`] — the daemon and its client.
 //!
 //! Telemetry: the daemon publishes `twl.service.*` counters (jobs
-//! queued/completed/failed/cancelled/rejected, connections, protocol
-//! errors), a queue-depth gauge, and a per-job wall-time histogram
+//! queued/completed/failed/cancelled/rejected), the shared loop's
+//! `twl.wire.*` counters (connections, protocol errors, idle
+//! timeouts), a queue-depth gauge, and a per-job wall-time histogram
 //! through `twl-telemetry`; with `--trace-dir` each job's simulation
 //! records land in their own `job-<id>.trace.jsonl` via the
 //! scope-routed sink.
@@ -47,9 +50,11 @@ pub use checkpoint::{Checkpoint, CheckpointDir, CHECKPOINT_SCHEMA};
 pub use client::{CellOutcome, Client, ClientError, SubmitOutcome, BACKOFF_CAP_MS};
 pub use framing::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 pub use job::{decode_result, encode_result, JobKind, JobReports, JobSpec};
-pub use net::{guard_frame_len, idle_deadline, is_idle_timeout, prepare_stream};
+pub use net::{
+    guard_frame_len, idle_deadline, is_idle_timeout, prepare_stream, serve, Reply, WireHandler,
+};
 pub use queue::{JobQueue, JobStatus, SubmitRejection};
 pub use server::{
-    render_metrics_page, stream_job, Server, ServiceConfig, EXIT_AFTER_CHECKPOINTS_ENV,
+    job_reply, render_metrics_page, Server, ServiceConfig, EXIT_AFTER_CHECKPOINTS_ENV,
 };
 pub use wire::{JobEvent, JobSnapshot, Request, Response, PROTOCOL};

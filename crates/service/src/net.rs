@@ -1,5 +1,20 @@
-//! Connection-robustness helpers shared by every TCP daemon in the
-//! workspace (`twl-serviced`, `twl-coordinator`, `twl-blockd`).
+//! The server side of `twl-wire/v1`, and the connection-robustness
+//! helpers every TCP daemon in the workspace shares (`twl-serviced`,
+//! `twl-coordinator`, `twl-blockd`).
+//!
+//! [`serve`] is the one `twl-wire/v1` connection loop. A daemon plugs
+//! in a [`WireHandler`] for what differs between daemons; the loop owns
+//! the contract they all keep:
+//!
+//! * a frame or decode error (oversized, truncated, non-UTF-8,
+//!   non-JSON, unknown `type`) earns a best-effort `error` frame and
+//!   closes *that connection only*;
+//! * so does a `hello` in another protocol version;
+//! * a well-formed request the daemon does not serve gets a shared
+//!   "`<type>` is not served by `<daemon>`" error and the connection
+//!   stays open;
+//! * `shutdown` is answered before the accept loop is woken, so `run()`
+//!   cannot return before the reply is out.
 //!
 //! Three hazards recur in any accept-loop server, whatever its wire
 //! format:
@@ -20,8 +35,181 @@
 //!   JSON framing and the NBD request reader.
 
 use std::io;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
+
+use twl_telemetry::counter;
+
+use crate::framing::{read_frame, write_frame, FrameError};
+use crate::queue::JobQueue;
+use crate::wire::{Request, Response, PROTOCOL};
+
+/// What one daemon adds to the shared [`serve`] loop. The loop answers
+/// `hello`, `metrics` and `shutdown` through the hooks below and hands
+/// every other request to [`WireHandler::respond`].
+pub trait WireHandler: Send + Sync + 'static {
+    /// The daemon's name in error messages (`twl-serviced`, ...).
+    fn name(&self) -> &'static str;
+
+    /// The `run_cell` parallelism advertised in `hello_ok`.
+    fn slots(&self) -> Option<u64> {
+        None
+    }
+
+    /// Answers a request other than `hello`, `metrics` or `shutdown`;
+    /// `None` means the daemon does not serve it.
+    fn respond(&self, request: Request) -> Option<Reply<'_>>;
+
+    /// The Prometheus page a `metrics` request returns.
+    fn metrics(&self) -> String;
+
+    /// Runs the shutdown side effects and returns the reply. The loop
+    /// writes it, then wakes the accept loop, which then sees
+    /// [`WireHandler::shutting_down`].
+    fn shutdown(&self) -> Response;
+
+    /// Whether the accept loop should stop.
+    fn shutting_down(&self) -> bool;
+}
+
+/// A [`WireHandler::respond`] answer.
+pub enum Reply<'a> {
+    /// One response frame.
+    Frame(Response),
+    /// The events and final frame of one job in `queue`.
+    Stream(&'a JobQueue, u64),
+}
+
+/// Serves `twl-wire/v1` on `listener` until `handler` reports shutting
+/// down: one thread per connection, each prepared with the `idle` read
+/// deadline.
+///
+/// # Errors
+///
+/// Propagates the failure to query the listener's address.
+pub fn serve<H: WireHandler>(
+    listener: &TcpListener,
+    idle: Option<Duration>,
+    handler: &Arc<H>,
+) -> io::Result<()> {
+    let wake = listener.local_addr()?;
+    for stream in listener.incoming() {
+        if handler.shutting_down() {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        counter!("twl.wire.connections").inc();
+        // Best effort: a socket that keeps the OS defaults still serves.
+        let _ = prepare_stream(&stream, idle);
+        let handler = Arc::clone(handler);
+        thread::spawn(move || serve_connection(&stream, handler.as_ref(), wake));
+    }
+    Ok(())
+}
+
+fn send(mut stream: &TcpStream, response: &Response) -> io::Result<()> {
+    write_frame(&mut stream, &response.to_json())
+}
+
+fn error(message: String) -> Response {
+    Response::Error { message }
+}
+
+/// Serves one connection until it closes, violates the protocol, or
+/// sits idle past the deadline.
+fn serve_connection(stream: &TcpStream, handler: &impl WireHandler, wake: SocketAddr) {
+    let mut reader = stream;
+    loop {
+        let request = match read_frame(&mut reader) {
+            Ok(frame) => Request::from_json(&frame).map_err(|e| format!("bad request: {e}")),
+            Err(FrameError::Closed) => return,
+            Err(FrameError::Io(e)) => {
+                if is_idle_timeout(&e) {
+                    counter!("twl.wire.idle_timeouts").inc();
+                    let _ = send(
+                        stream,
+                        &error("idle timeout: closing connection".to_owned()),
+                    );
+                }
+                return;
+            }
+            Err(e) => Err(format!("protocol error: {e}")),
+        };
+        let response = match request {
+            Err(message) => {
+                counter!("twl.wire.protocol_errors").inc();
+                let _ = send(stream, &error(message));
+                return;
+            }
+            Ok(Request::Hello { proto }) if proto == PROTOCOL => Response::HelloOk {
+                proto,
+                slots: handler.slots(),
+            },
+            Ok(Request::Hello { proto }) => {
+                counter!("twl.wire.protocol_errors").inc();
+                let daemon = handler.name();
+                let message = format!(
+                    "protocol version mismatch: {daemon} speaks {PROTOCOL}, client spoke {proto}"
+                );
+                let _ = send(stream, &error(message));
+                return;
+            }
+            Ok(Request::Metrics) => Response::MetricsOk {
+                text: handler.metrics(),
+            },
+            Ok(Request::Shutdown) => {
+                let _ = send(stream, &handler.shutdown());
+                // Reply first: once woken, the accept loop may return.
+                let _ = TcpStream::connect(wake);
+                return;
+            }
+            Ok(request) => {
+                let kind = request.type_name();
+                match handler.respond(request) {
+                    Some(Reply::Frame(response)) => response,
+                    Some(Reply::Stream(queue, job_id)) => {
+                        if stream_job(stream, queue, job_id).is_err() {
+                            return;
+                        }
+                        continue;
+                    }
+                    None => error(format!("{kind} is not served by {}", handler.name())),
+                }
+            }
+        };
+        if send(stream, &response).is_err() {
+            return;
+        }
+    }
+}
+
+/// Streams one job's events and final frame.
+fn stream_job(stream: &TcpStream, queue: &JobQueue, job_id: u64) -> io::Result<()> {
+    let mut cursor = 0;
+    loop {
+        let Some((events, next_cursor, done)) = queue.next_events(job_id, cursor) else {
+            return send(stream, &error(format!("unknown job {job_id}")));
+        };
+        cursor = next_cursor;
+        for event in events {
+            send(stream, &Response::Event { job_id, event })?;
+        }
+        if let Some(finished) = done {
+            let final_frame = match finished.result {
+                Some(result) => Response::JobResult { job_id, result },
+                None => Response::JobFailed {
+                    job_id,
+                    error: finished
+                        .error
+                        .unwrap_or_else(|| finished.status.label().to_owned()),
+                },
+            };
+            return send(stream, &final_frame);
+        }
+    }
+}
 
 /// The idle deadline `ms` milliseconds buys; `None` when disabled (0).
 #[must_use]

@@ -1,4 +1,4 @@
-//! The `twl-serviced` daemon: accept loop, connection handlers, and
+//! The `twl-serviced` daemon: its `twl-wire/v1` request handler and
 //! the worker pool that executes jobs.
 //!
 //! Concurrency model: within a job, cells run sequentially (that is
@@ -8,13 +8,12 @@
 //! [`twl_lifetime::pool::configured_parallelism`] (so `TWL_THREADS`
 //! is honored in one place for the whole workspace).
 //!
-//! Robustness contract: a malformed, truncated, or oversized frame
-//! earns a best-effort `error` response and closes *that connection
-//! only* — the accept loop and every other connection keep serving.
+//! The connection loop and its robustness contract live in
+//! [`crate::net::serve`].
 
 use std::collections::BTreeMap;
 use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -27,10 +26,10 @@ use twl_telemetry::prom::{render_exposition, PromWriter};
 use twl_telemetry::{counter, gauge, histogram, ScopeGuard};
 
 use crate::checkpoint::{Checkpoint, CheckpointDir};
-use crate::framing::{read_frame, write_frame, FrameError};
 use crate::job::encode_result;
+use crate::net::{serve, Reply, WireHandler};
 use crate::queue::{ClaimedJob, JobQueue, JobStatus};
-use crate::wire::{Request, Response, PROTOCOL};
+use crate::wire::{Request, Response};
 
 /// Test hook: when this environment variable holds `N`, the daemon
 /// calls `process::exit` right after writing its `N`-th mid-run
@@ -78,9 +77,7 @@ impl Default for ServiceConfig {
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
-    queue: Arc<JobQueue>,
-    checkpoints: Option<Arc<CheckpointDir>>,
-    workers: usize,
+    daemon: Arc<Daemon>,
     checkpoint_interval_writes: u64,
     idle_timeout: Option<Duration>,
 }
@@ -94,7 +91,7 @@ impl Server {
     /// Propagates bind and checkpoint-directory failures.
     pub fn bind(config: &ServiceConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
-        let queue = Arc::new(JobQueue::new(config.queue_capacity, config.retry_after_ms));
+        let queue = JobQueue::new(config.queue_capacity, config.retry_after_ms);
         let checkpoints = match &config.checkpoint_dir {
             Some(dir) => {
                 let dir = CheckpointDir::open(dir)?;
@@ -109,20 +106,23 @@ impl Server {
                         cp.error,
                     );
                 }
-                Some(Arc::new(dir))
+                Some(dir)
             }
             None => None,
         };
-        let workers = if config.workers == 0 {
+        let slots = if config.workers == 0 {
             pool::configured_parallelism()
         } else {
             config.workers
         };
         Ok(Self {
             listener,
-            queue,
-            checkpoints,
-            workers,
+            daemon: Arc::new(Daemon {
+                queue,
+                checkpoints,
+                slots,
+                remote_inflight: AtomicUsize::new(0),
+            }),
             checkpoint_interval_writes: config.checkpoint_interval_writes.max(1),
             idle_timeout: crate::net::idle_deadline(config.idle_timeout_ms),
         })
@@ -144,46 +144,23 @@ impl Server {
     ///
     /// Propagates accept-loop failures.
     pub fn run(self) -> io::Result<()> {
-        let local_addr = self.local_addr()?;
-        gauge!("twl.service.workers.total").set(i64::try_from(self.workers).unwrap_or(i64::MAX));
-        let worker_handles: Vec<_> = (0..self.workers)
+        let workers = self.daemon.slots;
+        gauge!("twl.service.workers.total").set(i64::try_from(workers).unwrap_or(i64::MAX));
+        let worker_handles: Vec<_> = (0..workers)
             .map(|_| {
-                let queue = Arc::clone(&self.queue);
-                let checkpoints = self.checkpoints.clone();
+                let daemon = Arc::clone(&self.daemon);
                 let interval = self.checkpoint_interval_writes;
                 thread::spawn(move || {
-                    while let Some(job) = queue.claim() {
+                    while let Some(job) = daemon.queue.claim() {
                         gauge!("twl.service.workers.busy").add(1);
-                        execute_job(&queue, checkpoints.as_deref(), interval, job);
+                        execute_job(&daemon.queue, daemon.checkpoints.as_ref(), interval, job);
                         gauge!("twl.service.workers.busy").add(-1);
                     }
                 })
             })
             .collect();
 
-        let remote_inflight = Arc::new(AtomicUsize::new(0));
-        for stream in self.listener.incoming() {
-            if self.queue.is_shutting_down() {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            counter!("twl.service.connections").inc();
-            // An idle peer (including a half-open one that sent a
-            // partial frame and stalled) is cut loose after the idle
-            // timeout, costing that connection only.
-            let _ = crate::net::prepare_stream(&stream, self.idle_timeout);
-            let queue = Arc::clone(&self.queue);
-            let checkpoints = self.checkpoints.clone();
-            let ctx = ConnCtx {
-                slots: self.workers,
-                remote_inflight: Arc::clone(&remote_inflight),
-                local_addr,
-            };
-            thread::spawn(move || handle_connection(&stream, &queue, checkpoints.as_deref(), &ctx));
-        }
+        serve(&self.listener, self.idle_timeout, &self.daemon)?;
 
         for handle in worker_handles {
             let _ = handle.join();
@@ -418,298 +395,156 @@ fn job_gauge_family(w: &mut PromWriter, name: &str, samples: &[([(&str, &str); 1
     w.gauge_family(name, &flat);
 }
 
-fn send(mut stream: &TcpStream, response: &Response) -> io::Result<()> {
-    write_frame(&mut stream, &response.to_json())
-}
-
-/// Per-connection context shared by the accept loop.
-struct ConnCtx {
-    /// The daemon's worker-pool size, advertised in `hello_ok` and the
-    /// cap on concurrent `run_cell` executions.
+/// `twl-serviced`'s side of the shared `twl-wire/v1` loop.
+#[derive(Debug)]
+struct Daemon {
+    queue: JobQueue,
+    checkpoints: Option<CheckpointDir>,
+    /// The worker-pool size, advertised in `hello_ok` and the cap on
+    /// concurrent `run_cell` executions.
     slots: usize,
     /// `run_cell` requests currently executing across all connections.
-    remote_inflight: Arc<AtomicUsize>,
-    local_addr: SocketAddr,
+    remote_inflight: AtomicUsize,
 }
 
-/// Serves one connection until it closes, violates the protocol, or
-/// sits idle past the configured timeout.
-fn handle_connection(
-    stream: &TcpStream,
-    queue: &JobQueue,
-    checkpoints: Option<&CheckpointDir>,
-    ctx: &ConnCtx,
-) {
-    let mut reader = stream;
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(frame) => frame,
-            Err(FrameError::Closed) => return,
-            Err(
-                e @ (FrameError::Truncated
-                | FrameError::Oversized { .. }
-                | FrameError::Utf8
-                | FrameError::Json(_)),
-            ) => {
-                counter!("twl.service.protocol_errors").inc();
-                let _ = send(
-                    stream,
-                    &Response::Error {
-                        message: format!("protocol error: {e}"),
-                    },
-                );
-                return;
-            }
-            Err(FrameError::Io(e)) => {
-                if crate::net::is_idle_timeout(&e) {
-                    counter!("twl.service.idle_timeouts").inc();
-                    let _ = send(
-                        stream,
-                        &Response::Error {
-                            message: "idle timeout: closing connection".to_owned(),
-                        },
-                    );
-                }
-                return;
-            }
-        };
-        let request = match Request::from_json(&frame) {
-            Ok(request) => request,
-            Err(message) => {
-                counter!("twl.service.protocol_errors").inc();
-                let _ = send(
-                    stream,
-                    &Response::Error {
-                        message: format!("bad request: {message}"),
-                    },
-                );
-                return;
-            }
-        };
+impl WireHandler for Daemon {
+    fn name(&self) -> &'static str {
+        "twl-serviced"
+    }
+
+    fn slots(&self) -> Option<u64> {
+        Some(self.slots as u64)
+    }
+
+    fn respond(&self, request: Request) -> Option<Reply<'_>> {
         match request {
-            Request::Hello { proto } => {
-                if proto == PROTOCOL {
-                    if send(
-                        stream,
-                        &Response::HelloOk {
-                            proto: PROTOCOL.to_owned(),
-                            slots: Some(ctx.slots as u64),
-                        },
-                    )
-                    .is_err()
-                    {
-                        return;
-                    }
-                } else {
-                    counter!("twl.service.protocol_errors").inc();
-                    let _ = send(
-                        stream,
-                        &Response::Error {
-                            message: format!(
-                                "protocol version mismatch: daemon speaks {PROTOCOL}, client spoke {proto}"
-                            ),
-                        },
-                    );
-                    return;
-                }
-            }
-            Request::Submit { spec } => {
-                let response = match spec.validate() {
-                    Err(message) => Response::Error {
-                        message: format!("invalid spec: {message}"),
-                    },
-                    Ok(()) => match queue.submit(spec) {
-                        Ok(job_id) => {
-                            // Persist at submit time so queued jobs
-                            // survive a restart or a graceful drain.
-                            if let Some(dir) = checkpoints {
-                                if let Some((spec, status, result, error)) = queue.job_state(job_id)
-                                {
-                                    save_checkpoint(
-                                        dir,
-                                        job_id,
-                                        &spec,
-                                        status,
-                                        &BTreeMap::new(),
-                                        result,
-                                        error,
-                                    );
-                                }
-                            }
-                            Response::Submitted { job_id }
-                        }
-                        Err(rejection) => Response::Rejected {
-                            reason: rejection.reason,
-                            retry_after_ms: rejection.retry_after_ms,
-                        },
-                    },
-                };
-                if send(stream, &response).is_err() {
-                    return;
-                }
-            }
-            Request::Status { job_id } => {
-                let jobs = queue.snapshot(job_id);
-                if send(stream, &Response::StatusOk { jobs }).is_err() {
-                    return;
-                }
-            }
-            Request::Stream { job_id } => {
-                if !stream_job(stream, queue, job_id) {
-                    return;
-                }
-            }
-            Request::Cancel { job_id } => {
-                let response = match queue.cancel(job_id) {
-                    None => Response::Error {
-                        message: format!("unknown job {job_id}"),
-                    },
-                    Some(cancelled) => {
-                        // A queued job cancelled here never reaches the
-                        // executor, so persist its terminal state now.
-                        if let (Some(dir), Some((spec, status, result, error))) =
-                            (checkpoints, queue.job_state(job_id))
-                        {
-                            if status.is_terminal() {
-                                save_checkpoint(
-                                    dir,
-                                    job_id,
-                                    &spec,
-                                    status,
-                                    &BTreeMap::new(),
-                                    result,
-                                    error,
-                                );
-                            }
-                        }
-                        Response::CancelOk { job_id, cancelled }
-                    }
-                };
-                if send(stream, &response).is_err() {
-                    return;
-                }
-            }
-            Request::Metrics => {
-                let text = render_metrics_page(queue);
-                if send(stream, &Response::MetricsOk { text }).is_err() {
-                    return;
-                }
-            }
-            Request::RunCell { spec, cell } => {
-                let response = run_remote_cell(ctx, queue, &spec, cell);
-                if send(stream, &response).is_err() {
-                    return;
-                }
-            }
-            Request::RegisterWorker { .. } => {
-                // Not a protocol violation — a fleet-aware client probed
-                // a plain daemon; tell it so and keep serving.
-                let response = Response::Error {
-                    message: "register_worker is only served by a twl-coordinator".to_owned(),
-                };
-                if send(stream, &response).is_err() {
-                    return;
-                }
-            }
-            Request::Shutdown => {
-                queue.begin_shutdown();
-                let _ = send(stream, &Response::ShutdownOk);
-                // Wake the accept loop so it observes the drain flag.
-                let _ = TcpStream::connect(ctx.local_addr);
-                return;
-            }
+            Request::RunCell { spec, cell } => Some(Reply::Frame(self.run_cell(&spec, cell))),
+            other => job_reply(&self.queue, self.checkpoints.as_ref(), other),
         }
+    }
+
+    fn metrics(&self) -> String {
+        render_metrics_page(&self.queue)
+    }
+
+    fn shutdown(&self) -> Response {
+        self.queue.begin_shutdown();
+        Response::ShutdownOk
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.queue.is_shutting_down()
     }
 }
 
-/// Streams one job's events and final frame. Returns `false` when the
-/// connection died mid-stream. Public so the fleet coordinator serves
-/// the identical stream shape for its own jobs.
-pub fn stream_job(stream: &TcpStream, queue: &JobQueue, job_id: u64) -> bool {
-    let mut cursor = 0;
-    loop {
-        let Some((events, next_cursor, done)) = queue.next_events(job_id, cursor) else {
-            return send(
-                stream,
-                &Response::Error {
-                    message: format!("unknown job {job_id}"),
-                },
-            )
-            .is_ok();
-        };
-        cursor = next_cursor;
-        for event in events {
-            if send(stream, &Response::Event { job_id, event }).is_err() {
-                return false;
+/// Answers the job requests (`submit`, `status`, `stream`, `cancel`)
+/// from `queue`; `None` for any other request. With `checkpoints`, a
+/// submitted job, and a queued job cancelled before it ran, are
+/// persisted at once. Public so the fleet coordinator serves the same
+/// job surface.
+pub fn job_reply<'a>(
+    queue: &'a JobQueue,
+    checkpoints: Option<&CheckpointDir>,
+    request: Request,
+) -> Option<Reply<'a>> {
+    // The terminal or queued state of `job_id`, saved without cells.
+    let persist = |job_id: u64, only_terminal: bool| {
+        if let (Some(dir), Some((spec, status, result, error))) =
+            (checkpoints, queue.job_state(job_id))
+        {
+            if !only_terminal || status.is_terminal() {
+                save_checkpoint(dir, job_id, &spec, status, &BTreeMap::new(), result, error);
             }
         }
-        if let Some(finished) = done {
-            let final_frame = match finished.result {
-                Some(result) => Response::JobResult { job_id, result },
-                None => Response::JobFailed {
-                    job_id,
-                    error: finished
-                        .error
-                        .unwrap_or_else(|| finished.status.label().to_owned()),
+    };
+    let response = match request {
+        Request::Submit { spec } => match spec.validate() {
+            Err(message) => Response::Error {
+                message: format!("invalid spec: {message}"),
+            },
+            Ok(()) => match queue.submit(spec) {
+                Ok(job_id) => {
+                    // Persist at submit time so queued jobs survive a
+                    // restart or a graceful drain.
+                    persist(job_id, false);
+                    Response::Submitted { job_id }
+                }
+                Err(rejection) => Response::Rejected {
+                    reason: rejection.reason,
+                    retry_after_ms: rejection.retry_after_ms,
                 },
-            };
-            return send(stream, &final_frame).is_ok();
-        }
-    }
-}
-
-/// Executes one `run_cell` request inline on the connection thread.
-/// Concurrency is capped at the worker-pool size across all
-/// connections, so a fleet coordinator cannot oversubscribe the daemon
-/// beyond the parallelism it advertised in `hello_ok`.
-fn run_remote_cell(
-    ctx: &ConnCtx,
-    queue: &JobQueue,
-    spec: &crate::job::JobSpec,
-    cell: u64,
-) -> Response {
-    if queue.is_shutting_down() {
-        return Response::Rejected {
-            reason: "daemon is shutting down".to_owned(),
-            retry_after_ms: queue.retry_after_ms(),
-        };
-    }
-    if let Err(message) = spec.validate() {
-        return Response::Error {
-            message: format!("invalid spec: {message}"),
-        };
-    }
-    let total = spec.cell_count() as u64;
-    if cell >= total {
-        return Response::Error {
-            message: format!("cell {cell} out of range (job has {total} cells)"),
-        };
-    }
-    let previous = ctx.remote_inflight.fetch_add(1, Ordering::SeqCst);
-    if previous >= ctx.slots {
-        ctx.remote_inflight.fetch_sub(1, Ordering::SeqCst);
-        counter!("twl.service.cells.rejected").inc();
-        return Response::Rejected {
-            reason: format!("all {} cell slots busy", ctx.slots),
-            retry_after_ms: queue.retry_after_ms(),
-        };
-    }
-    gauge!("twl.service.cells.inflight").add(1);
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| spec.run_cell(cell as usize)));
-    gauge!("twl.service.cells.inflight").add(-1);
-    ctx.remote_inflight.fetch_sub(1, Ordering::SeqCst);
-    match outcome {
-        Ok((report, device_writes)) => {
-            counter!("twl.service.cells.served").inc();
-            Response::CellOk {
-                cell,
-                report,
-                device_writes,
-            }
-        }
-        Err(payload) => Response::Error {
-            message: format!("cell {cell} failed: {}", panic_message(payload.as_ref())),
+            },
         },
+        Request::Status { job_id } => Response::StatusOk {
+            jobs: queue.snapshot(job_id),
+        },
+        Request::Stream { job_id } => return Some(Reply::Stream(queue, job_id)),
+        Request::Cancel { job_id } => match queue.cancel(job_id) {
+            None => Response::Error {
+                message: format!("unknown job {job_id}"),
+            },
+            Some(cancelled) => {
+                // A queued job cancelled here never reaches the
+                // executor, so persist its terminal state now.
+                persist(job_id, true);
+                Response::CancelOk { job_id, cancelled }
+            }
+        },
+        _ => return None,
+    };
+    Some(Reply::Frame(response))
+}
+
+impl Daemon {
+    /// Executes one `run_cell` request inline on the connection thread.
+    /// Concurrency is capped at the worker-pool size across all
+    /// connections, so a fleet coordinator cannot oversubscribe the
+    /// daemon beyond the parallelism it advertised in `hello_ok`.
+    fn run_cell(&self, spec: &crate::job::JobSpec, cell: u64) -> Response {
+        let queue = &self.queue;
+        if queue.is_shutting_down() {
+            return Response::Rejected {
+                reason: "daemon is shutting down".to_owned(),
+                retry_after_ms: queue.retry_after_ms(),
+            };
+        }
+        if let Err(message) = spec.validate() {
+            return Response::Error {
+                message: format!("invalid spec: {message}"),
+            };
+        }
+        let total = spec.cell_count() as u64;
+        if cell >= total {
+            return Response::Error {
+                message: format!("cell {cell} out of range (job has {total} cells)"),
+            };
+        }
+        let previous = self.remote_inflight.fetch_add(1, Ordering::SeqCst);
+        if previous >= self.slots {
+            self.remote_inflight.fetch_sub(1, Ordering::SeqCst);
+            counter!("twl.service.cells.rejected").inc();
+            return Response::Rejected {
+                reason: format!("all {} cell slots busy", self.slots),
+                retry_after_ms: queue.retry_after_ms(),
+            };
+        }
+        gauge!("twl.service.cells.inflight").add(1);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| spec.run_cell(cell as usize)));
+        gauge!("twl.service.cells.inflight").add(-1);
+        self.remote_inflight.fetch_sub(1, Ordering::SeqCst);
+        match outcome {
+            Ok((report, device_writes)) => {
+                counter!("twl.service.cells.served").inc();
+                Response::CellOk {
+                    cell,
+                    report,
+                    device_writes,
+                }
+            }
+            Err(payload) => Response::Error {
+                message: format!("cell {cell} failed: {}", panic_message(payload.as_ref())),
+            },
+        }
     }
 }
 

@@ -94,6 +94,22 @@ pub enum Request {
 }
 
 impl Request {
+    /// The request's `type` tag on the wire.
+    #[must_use]
+    pub fn type_name(&self) -> &'static str {
+        match self {
+            Self::Hello { .. } => "hello",
+            Self::Submit { .. } => "submit",
+            Self::Status { .. } => "status",
+            Self::Stream { .. } => "stream",
+            Self::Cancel { .. } => "cancel",
+            Self::Metrics => "metrics",
+            Self::RunCell { .. } => "run_cell",
+            Self::RegisterWorker { .. } => "register_worker",
+            Self::Shutdown => "shutdown",
+        }
+    }
+
     /// Encodes the request as a frame body.
     #[must_use]
     pub fn to_json(&self) -> Json {

@@ -32,7 +32,9 @@
 //!    — the library behind the `twl-stats` binary: loads JSONL traces,
 //!    renders per-scheme tables (or one machine-readable JSON
 //!    document), folds span records into self-time profiles, and flags
-//!    wear-out regressions between two traces.
+//!    wear-out regressions between two traces. [`format_table`] is the
+//!    fixed-width table the bench binaries, `twl-ctl` and `twl-top`
+//!    share.
 //!
 //! Every emitted record carries [`SCHEMA_VERSION`] so traces remain
 //! self-describing as the schema evolves.
@@ -68,3 +70,67 @@ pub use sink::{
 };
 pub use span::{emit_measured, set_spans_enabled, spans_enabled, AggregateSpan, SpanGuard};
 pub use wear::{WearMapSampler, WearSnapshot, WearSummary, WEAR_BUCKETS};
+
+/// Renders a fixed-width table — a header row, a separator, then rows —
+/// as a string ending in a newline. The bench binaries print their
+/// tables through it, and `twl-ctl` and `twl-top` render daemon output
+/// through it, so the two match byte for byte.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from the header's.
+#[must_use]
+pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    for row in rows {
+        assert_eq!(row.len(), headers.len(), "ragged table row");
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    let mut out = String::new();
+    let line = |out: &mut String, cells: &[String]| {
+        let joined: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(c, w)| format!("{c:>w$}", w = w))
+            .collect();
+        out.push_str("  ");
+        out.push_str(&joined.join("  "));
+        out.push('\n');
+    };
+    line(
+        &mut out,
+        &headers.iter().map(|h| (*h).to_owned()).collect::<Vec<_>>(),
+    );
+    let total: usize = widths.iter().sum::<usize>() + 2 * widths.len();
+    out.push_str("  ");
+    out.push_str(&"-".repeat(total));
+    out.push('\n');
+    for row in rows {
+        line(&mut out, row);
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn format_table_aligns_columns() {
+        let rendered = format_table(
+            &["scheme", "years"],
+            &[
+                vec!["NOWL".into(), "0.5".into()],
+                vec!["TWL_swp".into(), "12.25".into()],
+            ],
+        );
+        let lines: Vec<&str> = rendered.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].contains("scheme"));
+        assert!(lines[1].chars().all(|c| c == '-' || c == ' '));
+        assert!(lines[3].contains("TWL_swp"));
+        assert!(rendered.ends_with('\n'));
+    }
+}

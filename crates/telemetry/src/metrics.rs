@@ -380,12 +380,17 @@ impl Registry {
             snap.gauges.push((n.to_owned(), g.get()));
         }
         for &(n, h) in self.histograms.lock().expect("registry poisoned").iter() {
+            let buckets = h.bucket_counts();
             snap.histograms.push(HistogramSnapshot {
                 name: n.to_owned(),
-                count: h.count(),
+                // Every record adds to one bucket and to the count, so at
+                // rest they agree; summing the buckets read keeps them
+                // agreeing while other threads record, which a scrape's
+                // `+Inf` bucket == `_count` check relies on.
+                count: buckets.iter().sum(),
                 sum: h.sum(),
                 max: h.max(),
-                buckets: h.bucket_counts(),
+                buckets,
             });
         }
         snap.counters.sort();
@@ -482,6 +487,26 @@ mod tests {
         assert_eq!(h.buckets.len(), Histogram::BUCKETS);
         assert_eq!(h.buckets[2], 1, "7 lands in [4,8)");
         assert_eq!(h.quantile(0.5), 7.0, "interpolation clamps to max");
+    }
+
+    #[test]
+    fn snapshot_count_matches_buckets_while_recording() {
+        let registry = Registry::default();
+        let h = registry.histogram("busy");
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for v in 0..200_000u64 {
+                    h.record(v);
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            while !done.load(Ordering::SeqCst) {
+                let snap = registry.snapshot();
+                let h = &snap.histograms[0];
+                assert_eq!(h.count, h.buckets.iter().sum::<u64>());
+            }
+        });
     }
 
     #[test]

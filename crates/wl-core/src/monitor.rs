@@ -18,7 +18,6 @@
 //!   a window.
 
 use crate::WriteOutcome;
-use serde::{Deserialize, Serialize};
 use twl_pcm::LogicalPageAddr;
 
 /// The Misra-Gries heavy-hitters summary.
@@ -43,7 +42,7 @@ use twl_pcm::LogicalPageAddr;
 /// // 7 holds a 2/3 share: guaranteed tracked.
 /// assert!(mg.estimate(7) > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MisraGries {
     counters: Vec<(u64, u64)>,
     capacity: usize,
@@ -170,7 +169,7 @@ impl MisraGries {
 /// }
 /// assert!(monitor.under_attack());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackMonitor {
     sketch: MisraGries,
     window_writes: u64,

@@ -1,6 +1,5 @@
 //! Per-request outcomes returned by wear-leveling schemes.
 
-use serde::{Deserialize, Serialize};
 use twl_pcm::PhysicalPageAddr;
 
 /// Result of servicing one logical write through a wear-leveling scheme.
@@ -27,7 +26,7 @@ use twl_pcm::PhysicalPageAddr;
 /// assert_eq!(outcome.device_writes, 1);
 /// assert!(!outcome.swapped);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteOutcome {
     /// Physical page that received the logical data.
     pub pa: PhysicalPageAddr,
@@ -85,7 +84,7 @@ pub struct BatchOutcome {
 ///
 /// Reads never wear PCM; the outcome only reports where the data lives
 /// and the table-lookup latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadOutcome {
     /// Physical page the data was read from.
     pub pa: PhysicalPageAddr,

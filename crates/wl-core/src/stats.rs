@@ -1,7 +1,6 @@
 //! Uniform wear-leveling accounting.
 
 use crate::WriteOutcome;
-use serde::{Deserialize, Serialize};
 
 /// Running statistics every [`WearLeveler`](crate::WearLeveler) maintains.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.logical_writes, 1);
 /// assert_eq!(stats.swap_per_write(), 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WlStats {
     /// Logical write requests serviced.
     pub logical_writes: u64,

@@ -1,6 +1,5 @@
 //! Address-mapping and counter tables (RT, WNT/WCT of the paper).
 
-use serde::{Deserialize, Serialize};
 use twl_pcm::{LogicalPageAddr, PhysicalPageAddr};
 
 /// The remapping table (RT): a bijection between logical and physical
@@ -22,7 +21,7 @@ use twl_pcm::{LogicalPageAddr, PhysicalPageAddr};
 /// assert_eq!(rt.translate(LogicalPageAddr::new(5)).index(), 0);
 /// assert!(rt.is_bijective());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemappingTable {
     forward: Vec<u64>,
     inverse: Vec<u64>,
@@ -137,7 +136,7 @@ impl RemappingTable {
 /// wct.reset_all();
 /// assert_eq!(wct.count(la), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteCounterTable {
     counts: Vec<u64>,
 }

@@ -1,7 +1,6 @@
 //! The PARSEC benchmark profiles of Table 2.
 
 use crate::{zipf_alpha_for_hot_share, SyntheticWorkload, WorkloadConfig};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The 13 PARSEC benchmarks the paper evaluates (Table 2), with their
@@ -21,7 +20,7 @@ use std::fmt;
 /// assert_eq!(vips.write_bandwidth_mbps(), 3309.0);
 /// assert_eq!(vips.ideal_years_paper(), 16.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ParsecBenchmark {
     /// Option pricing (121 MB/s).

@@ -26,7 +26,6 @@
 //! `next_run` batchability contract so the event-skipping fast path
 //! engages on write runs in the capture.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -47,7 +46,7 @@ use crate::trace::read_trace;
 use crate::zipf::zipf_alpha_for_hot_share;
 
 /// Every write pattern the workspace can instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum WorkloadKind {
     /// One of the four adversarial modes of Fig. 6.
@@ -157,7 +156,7 @@ impl Error for WorkloadError {}
 /// Attack parameter overrides (`None` keeps the default). Which fields
 /// apply depends on the attack mode; [`WorkloadSpec::validate`] rejects
 /// overrides on the wrong mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct AttackParams {
     /// Repeat: the fixed logical page to hammer (default 0).
     pub target: Option<u64>,
@@ -175,7 +174,7 @@ pub struct AttackParams {
 
 /// PARSEC generator parameter overrides (`None` keeps the Table 2
 /// calibration).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ParsecParams {
     /// Zipf exponent (default: calibrated from the benchmark's Table 2
     /// locality ratio).
@@ -190,7 +189,7 @@ pub struct ParsecParams {
 }
 
 /// Trace replay parameters. `path` is required; the rest default.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceParams {
     /// Path of the binary trace file (`twl-workloads` codec, as written
     /// by `twl-blockd` and `trace_tool`).
@@ -209,7 +208,7 @@ pub struct TraceParams {
 /// override fields for one workload family. A variant whose fields are
 /// all `None` is semantically `Default` (except `Trace`, whose `path`
 /// is mandatory); [`WorkloadSpec::canonical`] normalizes it away.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum WorkloadParams {
     /// Paper-default configuration.
@@ -241,7 +240,7 @@ pub enum WorkloadParams {
 /// let trace: WorkloadSpec = "TRACE[path=capture.trace,seed=3]".parse().unwrap();
 /// assert_eq!(trace.label(), "TRACE[path=capture.trace,seed=3]");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// The write pattern.
     pub kind: WorkloadKind,

@@ -1,12 +1,11 @@
 //! The synthetic workload generator.
 
 use crate::{MemCmd, Zipf};
-use serde::{Deserialize, Serialize};
 use twl_pcm::LogicalPageAddr;
 use twl_rng::{FeistelPermutation, SimRng, Xoshiro256StarStar};
 
 /// Configuration of a [`SyntheticWorkload`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     /// Logical pages of the device the workload runs against.
     pub pages: u64,

@@ -1,11 +1,10 @@
 //! Memory-command stream types and a binary trace codec.
 
-use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
 use twl_pcm::LogicalPageAddr;
 
 /// A memory operation kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemOp {
     /// A page read (does not wear PCM).
     Read,
@@ -26,7 +25,7 @@ pub enum MemOp {
 /// let cmd = MemCmd::write(LogicalPageAddr::new(4));
 /// assert_eq!(cmd.op, MemOp::Write);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemCmd {
     /// Operation kind.
     pub op: MemOp,
