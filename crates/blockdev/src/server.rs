@@ -105,6 +105,7 @@ impl Shared {
     /// `twl_blockdev_*` gauges.
     fn refresh_gauges(&self) {
         let probe = self.lock().gateway.probe();
+        let _gauges = lock_gauges();
         publish_probe(&probe, self.geometry.export_bytes());
     }
 
@@ -138,6 +139,18 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     fs::write(&tmp, bytes)?;
     fs::rename(&tmp, path)
+}
+
+/// The `twl_blockdev_*` gauges live in the process-wide registry, so
+/// every server in one process shares them. A metrics page publishes and
+/// renders under this lock, so it shows its own daemon's probe and not
+/// one that another server published in between.
+static GAUGES: Mutex<()> = Mutex::new(());
+
+fn lock_gauges() -> MutexGuard<'static, ()> {
+    GAUGES
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Publishes one gateway probe as the `twl_blockdev_*` gauge family.
@@ -486,7 +499,9 @@ impl WireHandler for Shared {
     }
 
     fn metrics(&self) -> String {
-        self.refresh_gauges();
+        let probe = self.lock().gateway.probe();
+        let _gauges = lock_gauges();
+        publish_probe(&probe, self.geometry.export_bytes());
         render_exposition(&twl_telemetry::global().snapshot())
     }
 

@@ -47,15 +47,28 @@ pub struct CellKey(String);
 impl CellKey {
     /// Computes the key for cell `index` of `spec`.
     ///
+    /// # Errors
+    ///
+    /// Fails if the cell replays a trace whose file cannot be read (the
+    /// key pins the trace *content*).
+    ///
     /// # Panics
     ///
     /// Panics if `index >= spec.cell_count()` (same contract as
-    /// [`JobSpec::run_cell`]), or if the cell replays a trace whose
-    /// file cannot be read (the key pins the trace *content*).
+    /// [`JobSpec::run_cell`]).
+    pub fn try_of(spec: &JobSpec, index: usize) -> Result<Self, String> {
+        let descriptor = Self::try_descriptor(spec, index)?;
+        Ok(Self(sha256_hex(descriptor.to_compact().as_bytes())))
+    }
+
+    /// [`CellKey::try_of`] for cells known to be hashable.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`CellKey::try_of`] fails or panics.
     #[must_use]
     pub fn of(spec: &JobSpec, index: usize) -> Self {
-        let descriptor = Self::descriptor(spec, index);
-        Self(sha256_hex(descriptor.to_compact().as_bytes()))
+        Self::try_of(spec, index).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The canonical descriptor document the key hashes — exposed so
@@ -67,6 +80,10 @@ impl CellKey {
     /// file cannot be read.
     #[must_use]
     pub fn descriptor(spec: &JobSpec, index: usize) -> Json {
+        Self::try_descriptor(spec, index).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn try_descriptor(spec: &JobSpec, index: usize) -> Result<Json, String> {
         assert!(index < spec.cell_count(), "cell index out of range");
 
         // The cell kind follows the *workload family*, not the matrix
@@ -114,10 +131,10 @@ impl CellKey {
         // identical — and never across re-captures.
         if let WorkloadParams::Trace(trace) = &workload_spec.params {
             let bytes = std::fs::read(&trace.path)
-                .unwrap_or_else(|e| panic!("cannot hash trace {}: {e}", trace.path));
+                .map_err(|e| format!("cannot hash trace {}: {e}", trace.path))?;
             pairs.push(("workload_hash", str(&sha256_hex(&bytes))));
         }
-        Json::obj(pairs)
+        Ok(Json::obj(pairs))
     }
 
     /// The 64-hex-character key text.

@@ -406,14 +406,27 @@ fn run_fleet_job(shared: &Shared, job: ClaimedJob) {
     }
     let spec = Arc::new(job.spec);
     let total = spec.cell_count();
+    // Key every cell before dispatching any: a cell that cannot be keyed
+    // (a trace file that cannot be read) fails the job up front.
+    let keys = match (0..total)
+        .map(|index| CellKey::try_of(&spec, index))
+        .collect::<Result<Vec<CellKey>, String>>()
+    {
+        Ok(keys) => keys,
+        Err(message) => {
+            shared
+                .queue
+                .finish(job_id, JobStatus::Failed, None, Some(message));
+            return;
+        }
+    };
     let mut resolved: Vec<Option<Json>> = vec![None; total];
     let mut dispatched: Vec<u64> = Vec::new();
-    for (index, slot) in resolved.iter_mut().enumerate() {
+    for ((index, slot), key) in resolved.iter_mut().enumerate().zip(keys) {
         if job.cancel.load(Ordering::Relaxed) {
             break;
         }
         let cell = index as u64;
-        let key = CellKey::of(&spec, index);
         let hit = shared.cache.as_ref().and_then(|cache| cache.get(&key));
         if let Some(hit) = hit {
             let (scheme, workload) = spec.describe_cell(index);

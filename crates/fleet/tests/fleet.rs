@@ -286,6 +286,72 @@ fn resubmitting_the_moment_a_job_finishes_hits_the_cache_for_every_cell() {
     std::fs::remove_dir_all(&cache_dir).ok();
 }
 
+/// A cell that cannot be keyed — its trace file is missing — fails its
+/// job with the reason, and the planner lives on: the next job behind
+/// it (one planner) still completes.
+#[test]
+fn a_missing_trace_fails_its_job_and_the_next_job_completes() {
+    let worker = spawn_worker(1);
+    let coordinator = spawn_coordinator(FleetConfig {
+        workers: vec![worker.clone()],
+        planners: 1,
+        ..base_config()
+    });
+    let mut client = Client::connect(&coordinator).expect("connect to coordinator");
+    let mut submit = |spec: &JobSpec| match client.submit(spec).expect("submit") {
+        SubmitOutcome::Accepted(id) => id,
+        SubmitOutcome::Rejected { reason, .. } => panic!("submit rejected: {reason}"),
+    };
+    let mut bad = small_matrix(7);
+    bad.attacks = vec!["TRACE[path=/nonexistent/x.trace]"
+        .parse()
+        .expect("trace label")];
+    let bad_id = submit(&bad);
+    let good = small_matrix(8);
+    let good_id = submit(&good);
+
+    let mut status = Client::connect(&coordinator).expect("status connection");
+    let mut snapshot = |id: u64| {
+        status
+            .status(Some(id))
+            .expect("status")
+            .pop()
+            .expect("job snapshot")
+    };
+    let deadline = Duration::from_secs(60);
+    wait_until("the missing-trace job to fail", deadline, || {
+        snapshot(bad_id).status == "failed"
+    });
+    let failed = snapshot(bad_id);
+    assert!(
+        failed
+            .error
+            .as_deref()
+            .is_some_and(|e| e.contains("cannot hash trace")),
+        "failure does not name the trace: {failed:?}"
+    );
+    wait_until("the next job to complete", deadline, || {
+        snapshot(good_id).status == "completed"
+    });
+    let mut waiter = Client::connect(&coordinator).expect("wait connection");
+    assert_eq!(
+        waiter
+            .wait(good_id, |_| {})
+            .expect("job result")
+            .to_compact(),
+        direct_result(&good).to_compact()
+    );
+
+    Client::connect(&coordinator)
+        .expect("shutdown connection")
+        .shutdown()
+        .expect("coordinator shutdown");
+    Client::connect(&worker)
+        .expect("worker shutdown connection")
+        .shutdown()
+        .expect("worker shutdown");
+}
+
 /// How a fake (misbehaving) worker treats `run_cell`.
 #[derive(Clone, Copy, PartialEq)]
 enum FakeMode {

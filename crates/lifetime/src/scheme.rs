@@ -8,6 +8,9 @@
 //! round trip, and a JSON codec, so every experiment in the workspace
 //! — a sweep matrix cell, a service job, a checkpoint — can carry the
 //! exact scheme configuration it ran as data.
+//! The grammar and the codec are the shared ones in
+//! [`twl_telemetry::spec`]; this module supplies the scheme parameter
+//! table.
 //!
 //! Default-parameter specs are indistinguishable from their bare kind:
 //! they build the identical engine (same code path, same RNG streams),
@@ -15,7 +18,6 @@
 //! JSON — which is also the backward-compatibility story for job specs
 //! and checkpoints written before `SchemeSpec` existed.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
@@ -25,7 +27,8 @@ use twl_baselines::{
 };
 use twl_core::{PairingStrategy, TossUpWearLeveling, TwlConfig};
 use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
-use twl_telemetry::json::{int, str, Json};
+use twl_telemetry::json::Json;
+use twl_telemetry::spec::{self, parse_flag, parse_u64, Field, ParamSet};
 use twl_wl_core::{BatchOutcome, Nowl, ReadOutcome, WearLeveler, WlStats, WriteOutcome};
 
 /// Every scheme the workspace can instantiate, in the paper's naming.
@@ -277,17 +280,14 @@ impl SchemeSpec {
     /// effective overrides).
     #[must_use]
     pub fn is_default(&self) -> bool {
-        self.label_parts().is_empty()
+        spec::is_default(self)
     }
 
     /// Normalizes an all-`None` params variant back to
     /// [`SchemeParams::Default`], so equal configurations compare equal.
     #[must_use]
-    pub fn canonical(mut self) -> Self {
-        if self.is_default() {
-            self.params = SchemeParams::Default;
-        }
-        self
+    pub fn canonical(self) -> Self {
+        spec::canonical(self)
     }
 
     /// The canonical label: the kind label, plus `[k=v,...]` for any
@@ -296,65 +296,7 @@ impl SchemeSpec {
     /// events use for this spec.
     #[must_use]
     pub fn label(&self) -> String {
-        let parts = self.label_parts();
-        if parts.is_empty() {
-            self.kind.label().to_owned()
-        } else {
-            format!("{}[{}]", self.kind.label(), parts.join(","))
-        }
-    }
-
-    fn label_parts(&self) -> Vec<String> {
-        let mut parts = Vec::new();
-        match &self.params {
-            SchemeParams::Default => {}
-            SchemeParams::Twl(p) => {
-                if let Some(v) = p.toss_up_interval {
-                    parts.push(format!("ti={v}"));
-                }
-                if let Some(v) = p.inter_pair_swap_interval {
-                    if v == u64::MAX {
-                        parts.push("ip=off".to_owned());
-                    } else {
-                        parts.push(format!("ip={v}"));
-                    }
-                }
-                if let Some(v) = p.pairing {
-                    parts.push(format!("pair={}", pairing_label(v)));
-                }
-                if let Some(v) = p.optimized_swap {
-                    parts.push(format!("swap={}", if v { 2 } else { 3 }));
-                }
-                if let Some(v) = p.dynamic_endurance {
-                    parts.push(format!("dyn={}", u8::from(v)));
-                }
-            }
-            SchemeParams::Bwl(p) => {
-                if let Some(v) = p.epoch_writes {
-                    parts.push(format!("epoch={v}"));
-                }
-                if let Some(v) = p.initial_hot_threshold {
-                    parts.push(format!("thr={v}"));
-                }
-                if let Some(v) = p.band_repair {
-                    parts.push(format!("repair={}", u8::from(v)));
-                }
-            }
-            SchemeParams::Sr(p) => {
-                if let Some(v) = p.inner_interval {
-                    parts.push(format!("inner={v}"));
-                }
-                if let Some(v) = p.outer_interval {
-                    parts.push(format!("outer={v}"));
-                }
-            }
-            SchemeParams::StartGap(p) => {
-                if let Some(v) = p.gap_interval {
-                    parts.push(format!("gap={v}"));
-                }
-            }
-        }
-        parts
+        spec::label(self)
     }
 
     /// Applies one `key=value` override, creating the right params
@@ -366,11 +308,16 @@ impl SchemeSpec {
     /// # Errors
     ///
     /// Returns a message if the key is unknown for the kind or the
-    /// value does not parse.
+    /// value does not parse; the spec is then unchanged.
     pub fn set_param(&mut self, key: &str, value: &str) -> Result<(), String> {
-        match self.kind {
+        let kind = self.kind;
+        let unknown = || Err(spec::unknown_key(kind, key));
+        self.params = match kind {
             SchemeKind::TwlSwp | SchemeKind::TwlAp => {
-                let p = self.twl_params_mut();
+                let mut p = match self.params {
+                    SchemeParams::Twl(p) => p,
+                    _ => TwlParams::default(),
+                };
                 match key {
                     "ti" | "toss_up_interval" => p.toss_up_interval = Some(parse_u64(key, value)?),
                     "ip" | "inter_pair_swap_interval" => {
@@ -388,84 +335,52 @@ impl SchemeSpec {
                             _ => return Err(format!("`swap` must be 2 or 3, got `{value}`")),
                         });
                     }
-                    "optimized_swap" => p.optimized_swap = Some(parse_bool01(key, value)?),
+                    "optimized_swap" => p.optimized_swap = Some(parse_flag(key, value)?),
                     "dyn" | "dynamic_endurance" => {
-                        p.dynamic_endurance = Some(parse_bool01(key, value)?);
+                        p.dynamic_endurance = Some(parse_flag(key, value)?);
                     }
-                    _ => return Err(unknown_key(self.kind, key)),
+                    _ => return unknown(),
                 }
+                SchemeParams::Twl(p)
             }
             SchemeKind::Bwl => {
-                let p = self.bwl_params_mut();
+                let mut p = match self.params {
+                    SchemeParams::Bwl(p) => p,
+                    _ => BwlParams::default(),
+                };
                 match key {
                     "epoch" | "epoch_writes" => p.epoch_writes = Some(parse_u64(key, value)?),
                     "thr" | "initial_hot_threshold" => {
                         p.initial_hot_threshold = Some(parse_u64(key, value)?);
                     }
-                    "repair" | "band_repair" => p.band_repair = Some(parse_bool01(key, value)?),
-                    _ => return Err(unknown_key(self.kind, key)),
+                    "repair" | "band_repair" => p.band_repair = Some(parse_flag(key, value)?),
+                    _ => return unknown(),
                 }
+                SchemeParams::Bwl(p)
             }
             SchemeKind::Sr => {
-                let p = self.sr_params_mut();
+                let mut p = match self.params {
+                    SchemeParams::Sr(p) => p,
+                    _ => SrParams::default(),
+                };
                 match key {
                     "inner" | "inner_interval" => p.inner_interval = Some(parse_u64(key, value)?),
                     "outer" | "outer_interval" => p.outer_interval = Some(parse_u64(key, value)?),
-                    _ => return Err(unknown_key(self.kind, key)),
+                    _ => return unknown(),
                 }
+                SchemeParams::Sr(p)
             }
-            SchemeKind::StartGap => {
-                let p = self.start_gap_params_mut();
-                match key {
-                    "gap" | "gap_interval" => p.gap_interval = Some(parse_u64(key, value)?),
-                    _ => return Err(unknown_key(self.kind, key)),
-                }
-            }
+            SchemeKind::StartGap => match key {
+                "gap" | "gap_interval" => SchemeParams::StartGap(StartGapParams {
+                    gap_interval: Some(parse_u64(key, value)?),
+                }),
+                _ => return unknown(),
+            },
             SchemeKind::Nowl | SchemeKind::Wrl => {
-                return Err(format!("{} takes no parameters (got `{key}`)", self.kind));
+                return Err(format!("{kind} takes no parameters (got `{key}`)"));
             }
-        }
+        };
         Ok(())
-    }
-
-    fn twl_params_mut(&mut self) -> &mut TwlParams {
-        if !matches!(self.params, SchemeParams::Twl(_)) {
-            self.params = SchemeParams::Twl(TwlParams::default());
-        }
-        match &mut self.params {
-            SchemeParams::Twl(p) => p,
-            _ => unreachable!(),
-        }
-    }
-
-    fn bwl_params_mut(&mut self) -> &mut BwlParams {
-        if !matches!(self.params, SchemeParams::Bwl(_)) {
-            self.params = SchemeParams::Bwl(BwlParams::default());
-        }
-        match &mut self.params {
-            SchemeParams::Bwl(p) => p,
-            _ => unreachable!(),
-        }
-    }
-
-    fn sr_params_mut(&mut self) -> &mut SrParams {
-        if !matches!(self.params, SchemeParams::Sr(_)) {
-            self.params = SchemeParams::Sr(SrParams::default());
-        }
-        match &mut self.params {
-            SchemeParams::Sr(p) => p,
-            _ => unreachable!(),
-        }
-    }
-
-    fn start_gap_params_mut(&mut self) -> &mut StartGapParams {
-        if !matches!(self.params, SchemeParams::StartGap(_)) {
-            self.params = SchemeParams::StartGap(StartGapParams::default());
-        }
-        match &mut self.params {
-            SchemeParams::StartGap(p) => p,
-            _ => unreachable!(),
-        }
     }
 
     /// Checks that the params variant matches the kind and every
@@ -520,61 +435,7 @@ impl SchemeSpec {
     /// `{"kind", "params"}` object otherwise.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        if self.is_default() {
-            return str(self.kind.label());
-        }
-        let mut params = BTreeMap::new();
-        let mut put = |k: &str, v: Json| {
-            params.insert(k.to_owned(), v);
-        };
-        match &self.params {
-            SchemeParams::Default => {}
-            SchemeParams::Twl(p) => {
-                if let Some(v) = p.toss_up_interval {
-                    put("toss_up_interval", int(v));
-                }
-                if let Some(v) = p.inter_pair_swap_interval {
-                    put("inter_pair_swap_interval", int(v));
-                }
-                if let Some(v) = p.pairing {
-                    put("pairing", str(&pairing_label(v)));
-                }
-                if let Some(v) = p.optimized_swap {
-                    put("optimized_swap", Json::Bool(v));
-                }
-                if let Some(v) = p.dynamic_endurance {
-                    put("dynamic_endurance", Json::Bool(v));
-                }
-            }
-            SchemeParams::Bwl(p) => {
-                if let Some(v) = p.epoch_writes {
-                    put("epoch_writes", int(v));
-                }
-                if let Some(v) = p.initial_hot_threshold {
-                    put("initial_hot_threshold", int(v));
-                }
-                if let Some(v) = p.band_repair {
-                    put("band_repair", Json::Bool(v));
-                }
-            }
-            SchemeParams::Sr(p) => {
-                if let Some(v) = p.inner_interval {
-                    put("inner_interval", int(v));
-                }
-                if let Some(v) = p.outer_interval {
-                    put("outer_interval", int(v));
-                }
-            }
-            SchemeParams::StartGap(p) => {
-                if let Some(v) = p.gap_interval {
-                    put("gap_interval", int(v));
-                }
-            }
-        }
-        Json::obj([
-            ("kind", str(self.kind.label())),
-            ("params", Json::Obj(params)),
-        ])
+        spec::to_json(self)
     }
 
     /// Decodes a spec: either a bare label string (possibly with the
@@ -585,43 +446,60 @@ impl SchemeSpec {
     /// Returns a message on an unknown kind, an unknown parameter key,
     /// or an out-of-range value.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Str(s) => s.parse(),
-            Json::Obj(_) => {
-                let kind: SchemeKind = v
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or("scheme spec object is missing string `kind`")?
-                    .parse()?;
-                let mut spec = Self::new(kind);
-                if let Some(params) = v.get("params") {
-                    let Json::Obj(map) = params else {
-                        return Err("scheme spec `params` is not an object".to_owned());
-                    };
-                    for (key, value) in map {
-                        let rendered = match value {
-                            Json::Bool(b) => u8::from(*b).to_string(),
-                            Json::Int(_) => value
-                                .as_u64()
-                                .ok_or_else(|| format!("parameter `{key}` is out of range"))?
-                                .to_string(),
-                            Json::Str(s) => s.clone(),
-                            other => {
-                                return Err(format!(
-                                    "parameter `{key}` has unsupported value {other:?}"
-                                ))
-                            }
-                        };
-                        spec.set_param(key, &rendered)?;
-                    }
-                }
-                spec.validate().map_err(|e| e.to_string())?;
-                Ok(spec.canonical())
+        spec::from_json(v)
+    }
+}
+
+/// The scheme side of the shared label grammar: the parameter table
+/// below is everything `twl_telemetry::spec` needs to label, parse and
+/// encode a [`SchemeSpec`].
+impl ParamSet for SchemeSpec {
+    type Kind = SchemeKind;
+    const NOUN: &'static str = "scheme";
+
+    fn kind(&self) -> SchemeKind {
+        self.kind
+    }
+
+    fn fields(&self) -> Vec<Option<Field>> {
+        match self.params {
+            SchemeParams::Default => vec![],
+            SchemeParams::Twl(p) => {
+                let ip_off = p.inter_pair_swap_interval == Some(u64::MAX);
+                let swap = if p.optimized_swap == Some(true) {
+                    "2"
+                } else {
+                    "3"
+                };
+                vec![
+                    Field::int("ti", "toss_up_interval", p.toss_up_interval),
+                    Field::int("ip", "inter_pair_swap_interval", p.inter_pair_swap_interval)
+                        .map(|f| if ip_off { f.labeled("off") } else { f }),
+                    Field::text("pair", "pairing", p.pairing.map(pairing_label).as_deref()),
+                    Field::flag("swap", "optimized_swap", p.optimized_swap)
+                        .map(|f| f.labeled(swap)),
+                    Field::flag("dyn", "dynamic_endurance", p.dynamic_endurance),
+                ]
             }
-            other => Err(format!(
-                "scheme spec is neither string nor object: {other:?}"
-            )),
+            SchemeParams::Bwl(p) => vec![
+                Field::int("epoch", "epoch_writes", p.epoch_writes),
+                Field::int("thr", "initial_hot_threshold", p.initial_hot_threshold),
+                Field::flag("repair", "band_repair", p.band_repair),
+            ],
+            SchemeParams::Sr(p) => vec![
+                Field::int("inner", "inner_interval", p.inner_interval),
+                Field::int("outer", "outer_interval", p.outer_interval),
+            ],
+            SchemeParams::StartGap(p) => vec![Field::int("gap", "gap_interval", p.gap_interval)],
         }
+    }
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        self.set_param(key, value)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        SchemeSpec::validate(self).map_err(|e| e.to_string())
     }
 }
 
@@ -636,32 +514,7 @@ impl FromStr for SchemeSpec {
 
     /// Parses a canonical label: `KIND` or `KIND[k=v,...]`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        let (kind_str, params_str) = match s.find('[') {
-            Some(i) => {
-                let Some(inner) = s[i..].strip_prefix('[').and_then(|t| t.strip_suffix(']')) else {
-                    return Err(format!(
-                        "malformed scheme spec `{s}` (expected `KIND[k=v,...]`)"
-                    ));
-                };
-                (&s[..i], Some(inner))
-            }
-            None => (s, None),
-        };
-        let mut spec = Self::new(kind_str.parse::<SchemeKind>()?);
-        if let Some(params) = params_str {
-            if params.trim().is_empty() {
-                return Err(format!("empty parameter list in `{s}`"));
-            }
-            for kv in params.split(',') {
-                let (key, value) = kv
-                    .split_once('=')
-                    .ok_or_else(|| format!("parameter `{kv}` is not `key=value`"))?;
-                spec.set_param(key.trim(), value.trim())?;
-            }
-        }
-        spec.validate().map_err(|e| e.to_string())?;
-        Ok(spec.canonical())
+        spec::parse(s)
     }
 }
 
@@ -673,29 +526,7 @@ impl FromStr for SchemeSpec {
 ///
 /// Returns the first label's parse error.
 pub fn parse_spec_list(s: &str) -> Result<Vec<SchemeSpec>, String> {
-    let mut specs = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in s.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                if !s[start..i].trim().is_empty() {
-                    specs.push(s[start..i].parse()?);
-                }
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if !s[start..].trim().is_empty() {
-        specs.push(s[start..].parse()?);
-    }
-    if specs.is_empty() {
-        return Err("empty scheme list".to_owned());
-    }
-    Ok(specs)
+    spec::parse_list(s)
 }
 
 fn pairing_label(p: PairingStrategy) -> String {
@@ -722,24 +553,6 @@ fn parse_pairing(value: &str) -> Result<PairingStrategy, String> {
             )),
         },
     }
-}
-
-fn parse_u64(key: &str, value: &str) -> Result<u64, String> {
-    value
-        .parse::<u64>()
-        .map_err(|_| format!("`{key}` wants an unsigned integer, got `{value}`"))
-}
-
-fn parse_bool01(key: &str, value: &str) -> Result<bool, String> {
-    match value {
-        "0" | "false" => Ok(false),
-        "1" | "true" => Ok(true),
-        _ => Err(format!("`{key}` wants 0/1, got `{value}`")),
-    }
-}
-
-fn unknown_key(kind: SchemeKind, key: &str) -> String {
-    format!("unknown parameter `{key}` for {kind}")
 }
 
 /// Renames a scheme without touching its behavior: every method
@@ -1061,13 +874,12 @@ mod tests {
 
     #[test]
     fn bad_specs_are_rejected() {
+        // Grammar-level shapes are in `tests/spec_grammar.rs`; these are
+        // the scheme-specific verdicts.
         assert!("TWL_swp[ti=0]".parse::<SchemeSpec>().is_err());
-        assert!("TWL_swp[]".parse::<SchemeSpec>().is_err());
-        assert!("TWL_swp[ti]".parse::<SchemeSpec>().is_err());
         assert!("NOWL[ti=8]".parse::<SchemeSpec>().is_err());
         assert!("SR[gap=5]".parse::<SchemeSpec>().is_err());
         assert!("TWL_swp[pair=xyz]".parse::<SchemeSpec>().is_err());
-        assert!("TWL_swp[ti=8".parse::<SchemeSpec>().is_err());
         let mismatched = SchemeSpec {
             kind: SchemeKind::Nowl,
             params: SchemeParams::Twl(TwlParams {

@@ -69,6 +69,7 @@ use twl_service::job::{encode_result, JobKind, JobReports, JobSpec};
 use twl_service::wire::{JobEvent, JobSnapshot};
 use twl_service::{decode_result, Client, SubmitOutcome};
 use twl_telemetry::json::{int, num, str, Json};
+use twl_telemetry::spec::{self, ParamSet};
 
 use twl_lifetime::{
     parse_spec_list, DegradationReport, LifetimeReport, SchemeKind, SchemeSpec, SimLimits,
@@ -105,8 +106,8 @@ struct SpecFlags {
     benchmarks: Vec<WorkloadSpec>,
     max_writes: Option<u64>,
     spec_file: Option<String>,
-    scheme_params: Vec<(String, String)>,
-    workload_params: Vec<(String, String)>,
+    scheme_params: Vec<String>,
+    workload_params: Vec<String>,
 }
 
 impl Default for SpecFlags {
@@ -165,25 +166,11 @@ impl SpecFlags {
                 );
             }
             "--schemes" => self.schemes = parse_spec_list(&value("--schemes")?)?,
-            "--scheme-param" => {
-                let kv = value("--scheme-param")?;
-                let (k, v) = kv
-                    .split_once('=')
-                    .ok_or_else(|| format!("--scheme-param `{kv}` is not key=value"))?;
-                self.scheme_params
-                    .push((k.trim().to_owned(), v.trim().to_owned()));
-            }
+            "--scheme-param" => self.scheme_params.push(value(flag)?),
             "--workloads" | "--attacks" => {
                 self.attacks = parse_workload_list(&value(flag)?)?;
             }
-            "--workload-param" => {
-                let kv = value("--workload-param")?;
-                let (k, v) = kv
-                    .split_once('=')
-                    .ok_or_else(|| format!("--workload-param `{kv}` is not key=value"))?;
-                self.workload_params
-                    .push((k.trim().to_owned(), v.trim().to_owned()));
-            }
+            "--workload-param" => self.workload_params.push(value(flag)?),
             "--benchmarks" => {
                 self.benchmarks = parse_workload_list(&value("--benchmarks")?)?;
             }
@@ -214,15 +201,11 @@ impl SpecFlags {
             spec.validate()?;
             return Ok(spec);
         }
-        for scheme in &mut self.schemes {
-            for (key, value) in &self.scheme_params {
-                scheme
-                    .set_param(key, value)
-                    .map_err(|e| format!("bad --scheme-param for {}: {e}", scheme.kind))?;
-            }
-            scheme.validate().map_err(|e| e.to_string())?;
-            *scheme = scheme.canonical();
-        }
+        self.schemes = with_params(
+            std::mem::take(&mut self.schemes),
+            &self.scheme_params,
+            "--scheme-param",
+        )?;
         // Workload overrides apply to the axis the job kind sweeps, so
         // an attack matrix's defaults-filled `benchmarks` list never
         // rejects an attack-only key (and vice versa).
@@ -231,15 +214,11 @@ impl SpecFlags {
         } else {
             &mut self.attacks
         };
-        for workload in axis.iter_mut() {
-            for (key, value) in &self.workload_params {
-                workload
-                    .set_param(key, value)
-                    .map_err(|e| format!("bad --workload-param for {}: {e}", workload.kind))?;
-            }
-            workload.validate().map_err(|e| e.to_string())?;
-            *workload = workload.clone().canonical();
-        }
+        *axis = with_params(
+            std::mem::take(axis),
+            &self.workload_params,
+            "--workload-param",
+        )?;
         let mut builder = PcmConfig::builder();
         builder
             .pages(self.pages)
@@ -266,6 +245,23 @@ impl SpecFlags {
         spec.validate()?;
         Ok(spec)
     }
+}
+
+/// Applies repeated `key=value` flag overrides to every spec through the
+/// same grammar path a label's `[k=v,...]` block takes.
+fn with_params<P: ParamSet>(
+    specs: Vec<P>,
+    params: &[String],
+    flag: &str,
+) -> Result<Vec<P>, String> {
+    specs
+        .into_iter()
+        .map(|s| {
+            let kind = s.kind();
+            spec::apply(s, params.iter().map(String::as_str))
+                .map_err(|e| format!("bad {flag} for {kind}: {e}"))
+        })
+        .collect()
 }
 
 fn addr_default() -> String {

@@ -7,6 +7,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use crate::format_table;
 use crate::record::{SchemeSummary, TelemetryRecord};
 use crate::wear::WearSnapshot;
 
@@ -236,36 +237,6 @@ pub struct DegradationCell {
     pub capacity_fraction: f64,
 }
 
-fn render_columns(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        cells
-            .iter()
-            .zip(widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let head: Vec<String> = headers.iter().map(|h| (*h).to_owned()).collect();
-    out.push_str(&fmt_row(&head, &widths));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row, &widths));
-        out.push('\n');
-    }
-    out
-}
-
 /// Renders the per-scheme summary table: swap/write ratio, extra-write
 /// percentage, alarm rate, lifetime, and wear percentiles (joined from
 /// the cell's final wear snapshot when present).
@@ -309,7 +280,7 @@ pub fn render_summary_table(trace: &Trace) -> String {
     if rows.is_empty() && degradation.is_empty() {
         out.push_str("no scheme_summary records in trace\n");
     } else if !rows.is_empty() {
-        out.push_str(&render_columns(
+        out.push_str(&format_table(
             &[
                 "scheme", "workload", "swap/wr", "extra-wr", "alarm", "years", "gini", "wear-p50",
                 "wear-p99", "wear-max", "wearout",
@@ -337,7 +308,7 @@ pub fn render_summary_table(trace: &Trace) -> String {
                 ]
             })
             .collect();
-        out.push_str(&render_columns(
+        out.push_str(&format_table(
             &[
                 "scheme",
                 "workload",
@@ -372,7 +343,7 @@ pub fn render_summary_table(trace: &Trace) -> String {
                     ]
                 })
                 .collect();
-            out.push_str(&render_columns(
+            out.push_str(&format_table(
                 &["histogram", "count", "mean", "p50", "p90", "p99", "max"],
                 &hist_rows,
             ));
@@ -420,7 +391,7 @@ pub fn render_span_table(trace: &Trace) -> String {
             ]
         })
         .collect();
-    let mut out = render_columns(
+    let mut out = format_table(
         &[
             "phase", "label", "spans", "count", "incl-ms", "excl-ms", "self",
         ],

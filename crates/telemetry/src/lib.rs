@@ -1,7 +1,7 @@
 //! `twl-telemetry`: the unified observability layer for the tossup-wl
 //! workspace.
 //!
-//! Four pieces:
+//! The pieces:
 //!
 //! 1. **Metrics registry** ([`Registry`], [`global`]) — monotonic
 //!    counters, gauges, and fixed-bucket histograms behind `&'static`
@@ -33,8 +33,10 @@
 //!    renders per-scheme tables (or one machine-readable JSON
 //!    document), folds span records into self-time profiles, and flags
 //!    wear-out regressions between two traces. [`format_table`] is the
-//!    fixed-width table the bench binaries, `twl-ctl` and `twl-top`
-//!    share.
+//!    fixed-width table the bench binaries, `twl-ctl`, `twl-top` and
+//!    `twl-stats` share.
+//! 7. **Spec grammar** ([`spec`]) — the one `KIND[k=v,...]` label
+//!    grammar and JSON codec behind `SchemeSpec` and `WorkloadSpec`.
 //!
 //! Every emitted record carries [`SCHEMA_VERSION`] so traces remain
 //! self-describing as the schema evolves.
@@ -51,6 +53,7 @@ mod wear;
 
 pub mod json;
 pub mod prom;
+pub mod spec;
 
 /// Schema tag stamped on every JSONL record.
 pub const SCHEMA_VERSION: &str = "twl-telemetry/v1";
