@@ -102,11 +102,15 @@ impl Shared {
     }
 
     /// Pushes the wear pipeline's current shape into the
-    /// `twl_blockdev_*` gauges.
-    fn refresh_gauges(&self) {
+    /// `twl_blockdev_*` gauges and returns the gauge lock, so the caller
+    /// can render them before another server publishes its own.
+    fn refresh_gauges(&self) -> MutexGuard<'static, ()> {
         let probe = self.lock().gateway.probe();
-        let _gauges = lock_gauges();
+        let gauges = GAUGES
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         publish_probe(&probe, self.geometry.export_bytes());
+        gauges
     }
 
     /// Persists image + capture + meta atomically (each through a temp
@@ -146,12 +150,6 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// renders under this lock, so it shows its own daemon's probe and not
 /// one that another server published in between.
 static GAUGES: Mutex<()> = Mutex::new(());
-
-fn lock_gauges() -> MutexGuard<'static, ()> {
-    GAUGES
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Publishes one gateway probe as the `twl_blockdev_*` gauge family.
 pub fn publish_probe(probe: &GatewayProbe, export_bytes: u64) {
@@ -202,7 +200,6 @@ impl BlockServer {
             idle: idle_deadline(config.idle_timeout_ms),
             shutdown: AtomicBool::new(false),
         });
-        shared.refresh_gauges();
         Ok(Self {
             data,
             control,
@@ -429,7 +426,6 @@ fn handle_data_connection(shared: &Shared, mut stream: TcpStream) -> Result<(), 
                 nbd::write_simple_reply(&mut stream, req.handle, nbd::EINVAL, &[])?;
             }
         }
-        shared.refresh_gauges();
     }
 }
 
@@ -499,9 +495,7 @@ impl WireHandler for Shared {
     }
 
     fn metrics(&self) -> String {
-        let probe = self.lock().gateway.probe();
-        let _gauges = lock_gauges();
-        publish_probe(&probe, self.geometry.export_bytes());
+        let _gauges = self.refresh_gauges();
         render_exposition(&twl_telemetry::global().snapshot())
     }
 

@@ -184,8 +184,22 @@ fn control_port_speaks_twl_wire() {
             .value
     };
     assert_eq!(find("twl_blockdev_export_bytes"), (256 * 512) as f64);
-    assert!(find("twl_blockdev_wear_logical_writes") >= 1.0);
+    // Gauges are published on scrape, so each page shows up exactly.
+    let first = find("twl_blockdev_wear_logical_writes");
+    assert_eq!(first, 1.0);
     assert!(find("twl_blockdev_capture_cmds") >= 1.0);
+
+    // Three more pages in one request, and a read that wears nothing.
+    nbd.write(1024, &[4u8; 3 * 512]).expect("write");
+    nbd.read(0, 512).expect("read");
+    let page = ctl.metrics().expect("metrics");
+    let samples = parse_exposition(&page).expect("metrics page must lint clean");
+    let logical_writes = samples
+        .iter()
+        .find(|s| s.name == "twl_blockdev_wear_logical_writes")
+        .expect("missing sample twl_blockdev_wear_logical_writes")
+        .value;
+    assert_eq!(logical_writes - first, 3.0);
 
     nbd.disconnect().expect("disconnect");
     ctl.shutdown().expect("shutdown");

@@ -12,13 +12,18 @@
 //!   the workspace, so sweeps can be written as data
 //!   ([`build_scheme_for_region`] scopes a scheme to the data region of
 //!   a spare-augmented device).
-//! * [`run_attack`] / [`run_workload`] — the fail-stop simulation loops.
-//! * [`run_degradation_attack`] / [`run_degradation_workload`] — the
-//!   graceful-degradation loops over a `twl_faults::FaultDomain`: cell
+//! * [`run_attack`] / [`run_workload`] — fail-stop runs.
+//! * [`run_degradation_attack`] / [`run_degradation_workload`] —
+//!   graceful-degradation runs over a `twl_faults::FaultDomain`: cell
 //!   faults are corrected within the ECP/SAFER budget, uncorrectable
 //!   pages retire to spares, and the run ends at spare-pool exhaustion
 //!   with a full [`DegradationReport`] curve instead of a single
 //!   failure point.
+//! * [`run_attack_unbatched`] and the other `*_unbatched` functions —
+//!   the per-write oracles. All eight `run_*` functions share one
+//!   simulation loop; an oracle drives it through scalar adapters, so
+//!   it only ever calls `WearLeveler::write` and
+//!   `AttackStream::next_write`.
 //! * [`run_attack_banked`] / [`run_workload_banked`] — one run split
 //!   into [`twl_pcm::PcmConfig::banks`] independent wear-leveling
 //!   domains fanned out on the worker pool and merged in bank order;

@@ -1,6 +1,8 @@
-//! The lifetime simulation loops.
+//! The lifetime simulation loop.
 //!
-//! Two methodologies share one driver skeleton:
+//! One private `drive` loop serves two methodologies, told apart by a
+//! generic `Regime` (so each compiles to its own loop, with no per-write
+//! dynamic dispatch):
 //!
 //! * **Fail-stop** ([`run_attack`], [`run_workload`]) — the DAC'17
 //!   methodology: the run ends at the first
@@ -12,13 +14,22 @@
 //!   correction budget, uncorrectable pages retire to spares, and the
 //!   run ends at spare-pool exhaustion, producing a full
 //!   [`DegradationReport`] curve.
+//!
+//! The per-write reference oracles (the `*_unbatched` functions) are
+//! the same loop driven through two scalar adapters: a scheme wrapper
+//! that keeps the trait's default [`WearLeveler::write_batch`] (a loop
+//! over [`WearLeveler::write`]) and [`WearLeveler::write_batch_cap`]
+//! (one write), and a stream wrapper that keeps the default
+//! [`AttackStream::next_run`] (one [`AttackStream::next_write`]). Every
+//! batch is then a single scalar write, so the oracle exercises only
+//! the scalar paths but cannot drift from the fast path's loop.
 
 use crate::{Calibration, DegradationEnd, DegradationPoint, DegradationReport, LifetimeReport};
 use twl_attacks::AttackStream;
-use twl_faults::FaultDomain;
-use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError};
-use twl_telemetry::{SchemeSummary, TelemetryRecord, WearMapSampler};
-use twl_wl_core::{AttackMonitor, WearLeveler, WriteOutcome};
+use twl_faults::{EventHorizon, FaultDomain, FaultEngine};
+use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
+use twl_telemetry::{AggregateSpan, SchemeSummary, SpanGuard, TelemetryRecord, WearMapSampler};
+use twl_wl_core::{AttackMonitor, BatchOutcome, ReadOutcome, WearLeveler, WlStats, WriteOutcome};
 use twl_workloads::SyntheticWorkload;
 
 /// Safety limits for a lifetime run.
@@ -35,36 +46,6 @@ impl Default for SimLimits {
     fn default() -> Self {
         Self {
             max_logical_writes: 2_000_000_000,
-        }
-    }
-}
-
-/// The two write generators a lifetime run can consume, unified so the
-/// simulation loop exists exactly once.
-enum WriteSource<'a> {
-    /// Attack streams see each write's outcome — the timing side
-    /// channel of §3.2.
-    Attack(&'a mut dyn AttackStream),
-    /// Synthetic workloads ignore feedback (reads are skipped — they
-    /// neither wear the device nor influence wear-leveling state).
-    Workload(&'a mut SyntheticWorkload),
-}
-
-impl WriteSource<'_> {
-    fn next_write(&mut self, feedback: Option<&WriteOutcome>) -> LogicalPageAddr {
-        match self {
-            Self::Attack(attack) => attack.next_write(feedback),
-            Self::Workload(workload) => workload.next_write_la(),
-        }
-    }
-
-    /// The batchability contract of [`AttackStream::next_run`], lifted
-    /// over both source kinds. Workloads interleave reads and vary
-    /// their addresses per write, so they always declare runs of 1.
-    fn next_run(&mut self, feedback: Option<&WriteOutcome>, max: u64) -> (LogicalPageAddr, u64) {
-        match self {
-            Self::Attack(attack) => attack.next_run(feedback, max),
-            Self::Workload(workload) => (workload.next_write_la(), 1),
         }
     }
 }
@@ -88,14 +69,13 @@ pub fn run_attack(
     limits: &SimLimits,
     calibration: &Calibration,
 ) -> LifetimeReport {
-    let workload_name = attack.name().to_owned();
     drive(
         scheme,
         device,
-        WriteSource::Attack(attack),
-        &workload_name,
+        attack,
         limits,
-        calibration,
+        FailStop::new(calibration),
+        "drive",
     )
 }
 
@@ -109,14 +89,13 @@ pub fn run_attack_unbatched(
     limits: &SimLimits,
     calibration: &Calibration,
 ) -> LifetimeReport {
-    let workload_name = attack.name().to_owned();
-    drive_unbatched(
-        scheme,
+    drive(
+        &mut ScalarScheme(scheme),
         device,
-        WriteSource::Attack(attack),
-        &workload_name,
+        &mut ScalarStream(attack),
         limits,
-        calibration,
+        FailStop::new(calibration),
+        "drive_unbatched",
     )
 }
 
@@ -135,10 +114,10 @@ pub fn run_workload(
     drive(
         scheme,
         device,
-        WriteSource::Workload(workload),
-        workload_name,
+        &mut WorkloadStream(workload, workload_name),
         limits,
-        calibration,
+        FailStop::new(calibration),
+        "drive",
     )
 }
 
@@ -152,125 +131,13 @@ pub fn run_workload_unbatched(
     limits: &SimLimits,
     calibration: &Calibration,
 ) -> LifetimeReport {
-    drive_unbatched(
-        scheme,
+    drive(
+        &mut ScalarScheme(scheme),
         device,
-        WriteSource::Workload(workload),
-        workload_name,
+        &mut ScalarStream(&mut WorkloadStream(workload, workload_name)),
         limits,
-        calibration,
-    )
-}
-
-/// The batched fail-stop loop: ask the source for its next deterministic
-/// run, service it through [`WearLeveler::write_batch`] (which collapses
-/// event-free stretches into O(1) bulk device writes), and stop at the
-/// first worn-out page or the write budget, whichever comes first.
-///
-/// Equivalence with [`drive_unbatched`]: a run of length `len` promises
-/// the source would have produced the same address for `len` per-write
-/// calls regardless of feedback, and `write_batch` promises state
-/// identical to `len` scalar writes — so the only observable difference
-/// is wear-snapshot granularity (see [`RunTelemetry::observe_batch`]).
-fn drive(
-    scheme: &mut dyn WearLeveler,
-    device: &mut PcmDevice,
-    mut source: WriteSource<'_>,
-    workload_name: &str,
-    limits: &SimLimits,
-    calibration: &Calibration,
-) -> LifetimeReport {
-    // Wall-clock only; spans never touch the RNG or simulated state, so
-    // the batched loop stays bit-identical with tracing on. One span
-    // covers the whole batched write path — never per-batch timing.
-    let _span = twl_telemetry::span!("drive", scheme.name());
-    let mut telemetry = RunTelemetry::begin(scheme, device, workload_name);
-    let mut feedback: Option<WriteOutcome> = None;
-    let mut logical_writes = 0u64;
-    let mut failure = None;
-    while logical_writes < limits.max_logical_writes {
-        let budget = limits.max_logical_writes - logical_writes;
-        let (la, len) = source.next_run(feedback.as_ref(), budget);
-        let len = len.clamp(1, budget);
-        let device_writes_before = device.total_writes();
-        let batch = scheme.write_batch(la, len, device);
-        if batch.serviced > 0 {
-            logical_writes += batch.serviced;
-            telemetry.observe_batch(
-                la,
-                batch.serviced,
-                device.total_writes() - device_writes_before,
-                device,
-            );
-            feedback = batch.last;
-        }
-        match batch.failure {
-            Some(PcmError::PageWornOut { addr, .. }) => {
-                failure = Some(addr);
-                break;
-            }
-            Some(e) => unreachable!("lifetime sim hit a non-wear-out device error: {e}"),
-            None => assert!(
-                batch.serviced == len,
-                "write_batch serviced {} of {len} writes without failing",
-                batch.serviced
-            ),
-        }
-    }
-    let alarm_rate = telemetry.end(device);
-    // Close the drive span before reporting so `report` is its sibling
-    // (queue-wait → build → drive → report), not its child.
-    drop(_span);
-    finish(
-        scheme,
-        device,
-        workload_name.to_owned(),
-        logical_writes,
-        failure,
-        calibration,
-        alarm_rate,
-    )
-}
-
-/// The per-write fail-stop loop: the pre-batching reference semantics.
-fn drive_unbatched(
-    scheme: &mut dyn WearLeveler,
-    device: &mut PcmDevice,
-    mut source: WriteSource<'_>,
-    workload_name: &str,
-    limits: &SimLimits,
-    calibration: &Calibration,
-) -> LifetimeReport {
-    let _span = twl_telemetry::span!("drive_unbatched", scheme.name());
-    let mut telemetry = RunTelemetry::begin(scheme, device, workload_name);
-    let mut feedback: Option<WriteOutcome> = None;
-    let mut logical_writes = 0u64;
-    let mut failure = None;
-    while logical_writes < limits.max_logical_writes {
-        let la = source.next_write(feedback.as_ref());
-        match scheme.write(la, device) {
-            Ok(out) => {
-                logical_writes += 1;
-                telemetry.observe(la, &out, device);
-                feedback = Some(out);
-            }
-            Err(PcmError::PageWornOut { addr, .. }) => {
-                failure = Some(addr);
-                break;
-            }
-            Err(e) => unreachable!("lifetime sim hit a non-wear-out device error: {e}"),
-        }
-    }
-    let alarm_rate = telemetry.end(device);
-    drop(_span);
-    finish(
-        scheme,
-        device,
-        workload_name.to_owned(),
-        logical_writes,
-        failure,
-        calibration,
-        alarm_rate,
+        FailStop::new(calibration),
+        "drive_unbatched",
     )
 }
 
@@ -286,15 +153,8 @@ pub fn run_degradation_attack(
     limits: &SimLimits,
     calibration: &Calibration,
 ) -> DegradationReport {
-    let workload_name = attack.name().to_owned();
-    drive_degraded(
-        scheme,
-        domain,
-        WriteSource::Attack(attack),
-        &workload_name,
-        limits,
-        calibration,
-    )
+    let (device, regime) = Degradation::new(domain, calibration, scheme.name());
+    drive(scheme, device, attack, limits, regime, "drive_degraded")
 }
 
 /// The per-write reference loop behind [`run_degradation_attack`] —
@@ -308,14 +168,14 @@ pub fn run_degradation_attack_unbatched(
     limits: &SimLimits,
     calibration: &Calibration,
 ) -> DegradationReport {
-    let workload_name = attack.name().to_owned();
-    drive_degraded_unbatched(
-        scheme,
-        domain,
-        WriteSource::Attack(attack),
-        &workload_name,
+    let (device, regime) = Degradation::new(domain, calibration, scheme.name());
+    drive(
+        &mut ScalarScheme(scheme),
+        device,
+        &mut ScalarStream(attack),
         limits,
-        calibration,
+        regime,
+        "drive_degraded_unbatched",
     )
 }
 
@@ -332,13 +192,14 @@ pub fn run_degradation_workload(
     limits: &SimLimits,
     calibration: &Calibration,
 ) -> DegradationReport {
-    drive_degraded(
+    let (device, regime) = Degradation::new(domain, calibration, scheme.name());
+    drive(
         scheme,
-        domain,
-        WriteSource::Workload(workload),
-        workload_name,
+        device,
+        &mut WorkloadStream(workload, workload_name),
         limits,
-        calibration,
+        regime,
+        "drive_degraded",
     )
 }
 
@@ -352,22 +213,247 @@ pub fn run_degradation_workload_unbatched(
     limits: &SimLimits,
     calibration: &Calibration,
 ) -> DegradationReport {
-    drive_degraded_unbatched(
-        scheme,
-        domain,
-        WriteSource::Workload(workload),
-        workload_name,
+    let (device, regime) = Degradation::new(domain, calibration, scheme.name());
+    drive(
+        &mut ScalarScheme(scheme),
+        device,
+        &mut ScalarStream(&mut WorkloadStream(workload, workload_name)),
         limits,
-        calibration,
+        regime,
+        "drive_degraded_unbatched",
     )
 }
 
-/// Bookkeeping shared by the batched and per-write degradation loops:
-/// the curve and the three milestone device-write counts, advanced by
-/// [`DegradedProgress::absorb_and_record`] so both loops observe fault
-/// events through literally the same code.
-struct DegradedProgress {
+/// The lifetime loop: ask the stream for its next deterministic run,
+/// capped by the write budget and the regime, service it through
+/// [`WearLeveler::write_batch`] (which collapses event-free stretches
+/// into O(1) bulk device writes), and let the regime settle the batch —
+/// until a write fails, the regime ends the run, or the budget is spent.
+///
+/// Batching is exact: a run of length `len` promises the stream would
+/// have produced the same address for `len` per-write calls regardless
+/// of feedback, `write_batch` promises state identical to `len` scalar
+/// writes, and the regime's cap keeps every observable event on a batch
+/// boundary. So the only observable difference from the scalar adapters
+/// is wear-snapshot granularity (see [`RunTelemetry::observe_batch`]).
+fn drive<S, A, R>(
+    scheme: &mut S,
+    device: &mut PcmDevice,
+    stream: &mut A,
+    limits: &SimLimits,
+    mut regime: R,
+    span: &'static str,
+) -> R::Report
+where
+    S: WearLeveler + ?Sized,
+    A: AttackStream + ?Sized,
+    R: Regime,
+{
+    // Wall-clock only; spans never touch the RNG or simulated state, so
+    // the loop stays bit-identical with tracing on. One span covers the
+    // whole write path — never per-batch timing.
+    let drive_span = twl_telemetry::span!(span, scheme.name());
+    let scheme_name = scheme.name().to_owned();
+    let workload = stream.name().to_owned();
+    let mut telemetry = RunTelemetry::begin(&scheme_name, &workload, device);
+    let mut logical_writes = 0u64;
+    // Each run is fetched at the end of the batch before it, so the
+    // stream reads its feedback in place from that batch's outcome:
+    // copying the outcome into a longer-lived slot first cost the
+    // per-write oracle about a third of its speed.
+    let mut run = next_run(scheme, stream, &mut regime, limits.max_logical_writes, None);
+    while let Some((la, len)) = run {
+        let device_writes_before = device.total_writes();
+        let BatchOutcome {
+            serviced,
+            last,
+            failure,
+        } = scheme.write_batch(la, len, device);
+        if serviced > 0 {
+            logical_writes += serviced;
+            if let Some(telemetry) = &mut telemetry {
+                let device_writes = device.total_writes() - device_writes_before;
+                telemetry.observe_batch(la, serviced, device_writes, device);
+            }
+        }
+        if let Some(error) = failure {
+            regime.fail(error);
+            break;
+        }
+        assert!(
+            serviced == len,
+            "write_batch serviced {serviced} of {len} writes without failing"
+        );
+        if !regime.settle(device, logical_writes, &scheme_name, &workload) {
+            break;
+        }
+        let remaining = limits.max_logical_writes - logical_writes;
+        run = next_run(scheme, stream, &mut regime, remaining, last.as_ref());
+    }
+    let alarm_rate = telemetry.map_or(0.0, |telemetry| telemetry.end(device));
+    let run = RunEnd {
+        drive_span,
+        scheme: &scheme_name,
+        workload,
+        logical_writes,
+        alarm_rate,
+    };
+    regime.finish(run, scheme.stats(), device)
+}
+
+/// The stream's next run, clamped to at least one write and at most
+/// the remaining budget and the regime's cap; `None` once the budget
+/// is spent.
+fn next_run<S, A, R>(
+    scheme: &S,
+    stream: &mut A,
+    regime: &mut R,
+    remaining: u64,
+    feedback: Option<&WriteOutcome>,
+) -> Option<(LogicalPageAddr, u64)>
+where
+    S: WearLeveler + ?Sized,
+    A: AttackStream + ?Sized,
+    R: Regime,
+{
+    if remaining == 0 {
+        return None;
+    }
+    let budget = remaining.min(regime.batch_cap(scheme));
+    let (la, len) = stream.next_run(feedback, budget);
+    Some((la, len.clamp(1, budget)))
+}
+
+/// What the loop hands its regime when the run is over.
+struct RunEnd<'a> {
+    /// The still-open `drive` span; the regime closes it.
+    drive_span: SpanGuard,
+    scheme: &'a str,
+    workload: String,
     logical_writes: u64,
+    alarm_rate: f64,
+}
+
+/// The seam between the two methodologies: how large the next batch
+/// may be, what a failed write means, what happens after each batch,
+/// and which report the run produces.
+trait Regime {
+    type Report;
+
+    /// Upper bound on the next batch's length (at least 1).
+    fn batch_cap<S: WearLeveler + ?Sized>(&mut self, scheme: &S) -> u64;
+
+    /// A write failed: the run ends here.
+    fn fail(&mut self, error: PcmError);
+
+    /// Settles a fully serviced batch; `false` ends the run.
+    fn settle(
+        &mut self,
+        device: &mut PcmDevice,
+        logical_writes: u64,
+        scheme: &str,
+        workload: &str,
+    ) -> bool;
+
+    /// Closes the run's span and assembles its report.
+    fn finish(self, run: RunEnd<'_>, stats: &WlStats, device: &PcmDevice) -> Self::Report;
+}
+
+/// Fail-stop: batches are bounded only by the write budget, and the
+/// run ends at the first worn-out page.
+struct FailStop<'a> {
+    calibration: &'a Calibration,
+    failure: Option<PhysicalPageAddr>,
+}
+
+impl<'a> FailStop<'a> {
+    fn new(calibration: &'a Calibration) -> Self {
+        Self {
+            calibration,
+            failure: None,
+        }
+    }
+}
+
+impl Regime for FailStop<'_> {
+    type Report = LifetimeReport;
+
+    fn batch_cap<S: WearLeveler + ?Sized>(&mut self, _scheme: &S) -> u64 {
+        u64::MAX
+    }
+
+    fn fail(&mut self, error: PcmError) {
+        match error {
+            PcmError::PageWornOut { addr, .. } => self.failure = Some(addr),
+            e => unreachable!("lifetime sim hit a non-wear-out device error: {e}"),
+        }
+    }
+
+    fn settle(&mut self, _: &mut PcmDevice, _: u64, _: &str, _: &str) -> bool {
+        true
+    }
+
+    fn finish(self, run: RunEnd<'_>, stats: &WlStats, device: &PcmDevice) -> LifetimeReport {
+        // Close the drive span before reporting so `report` is its
+        // sibling (queue-wait → build → drive → report), not its child.
+        drop(run.drive_span);
+        let _span = twl_telemetry::span!("report", run.scheme);
+        let total_endurance = device.endurance_map().total() as f64;
+        let capacity_fraction = device.total_writes() as f64 / total_endurance;
+        let report = LifetimeReport {
+            scheme: run.scheme.to_owned(),
+            workload: run.workload,
+            logical_writes: run.logical_writes,
+            device_writes: device.total_writes(),
+            failed_page: self.failure,
+            completed: self.failure.is_some(),
+            capacity_fraction,
+            years: self.calibration.years(capacity_fraction),
+            swap_per_write: stats.swap_per_write(),
+            extra_write_ratio: stats.extra_write_ratio(),
+            wear_gini: device.wear_stats().wear_gini,
+        };
+        twl_telemetry::emit(&TelemetryRecord::Summary(SchemeSummary {
+            scheme: report.scheme.clone(),
+            workload: report.workload.clone(),
+            logical_writes: report.logical_writes,
+            device_writes: report.device_writes,
+            swaps: stats.swaps,
+            swap_per_write: report.swap_per_write,
+            extra_write_ratio: report.extra_write_ratio,
+            alarm_rate: run.alarm_rate,
+            capacity_fraction: report.capacity_fraction,
+            years: report.years,
+            wear_gini: report.wear_gini,
+            completed: report.completed,
+        }));
+        report
+    }
+}
+
+/// Graceful degradation: the fault engine absorbs new cell faults after
+/// every batch; each retirement appends a curve point (and a
+/// `degradation_point` trace record), and [`PcmError::SparesExhausted`]
+/// ends the run.
+///
+/// Batching is exact here, not approximate: an [`EventHorizon`] tracks
+/// every page's wear-distance to its next *observable* fault event (the
+/// run's first corrected group, then each retirement threshold), and
+/// each batch is capped through [`WearLeveler::write_batch_cap`] so no
+/// page can cross an event mid-batch. Quiet stretches batch by the
+/// thousands; as a page approaches a threshold the cap shrinks to one,
+/// so the crossing write is absorbed at exactly the device-write count
+/// a per-write run would observe.
+struct Degradation<'a> {
+    engine: &'a mut FaultEngine,
+    horizon: EventHorizon,
+    // Fault absorption runs once per batch — too often for one record
+    // each, hot enough to want visibility. The aggregate folds every
+    // call into a single span record with a `count`.
+    absorb_span: AggregateSpan,
+    data_pages: u64,
+    spare_pages: u64,
+    calibration: &'a Calibration,
     curve: Vec<DegradationPoint>,
     first_fault: Option<u64>,
     first_retirement: Option<u64>,
@@ -375,278 +461,243 @@ struct DegradedProgress {
     end: DegradationEnd,
 }
 
-impl DegradedProgress {
-    fn new() -> Self {
-        Self {
-            logical_writes: 0,
+impl<'a> Degradation<'a> {
+    /// Splits `domain` into the device the loop writes and the regime
+    /// that owns its fault engine.
+    fn new(
+        domain: &'a mut FaultDomain,
+        calibration: &'a Calibration,
+        scheme: &str,
+    ) -> (&'a mut PcmDevice, Self) {
+        let FaultDomain {
+            device,
+            engine,
+            data_pages,
+            spare_pages,
+        } = domain;
+        let regime = Self {
+            horizon: EventHorizon::new(engine, device),
+            engine,
+            absorb_span: AggregateSpan::new("absorb", scheme),
+            data_pages: *data_pages,
+            spare_pages: *spare_pages,
+            calibration,
             curve: Vec::new(),
             first_fault: None,
             first_retirement: None,
             spare_exhausted: None,
             end: DegradationEnd::WriteBudget,
+        };
+        (device, regime)
+    }
+
+    fn point(&self, logical_writes: u64, device: &PcmDevice) -> DegradationPoint {
+        DegradationPoint {
+            logical_writes,
+            device_writes: device.total_writes(),
+            corrected_groups: self.engine.corrected_groups(),
+            retired_pages: device.retired_pages(),
+            spares_remaining: device.spares_remaining(),
         }
     }
 
-    /// Runs one fault absorption and folds its events into the
-    /// milestones and the curve. Returns `false` when the spare pool is
-    /// exhausted — the graceful-degradation end of life.
-    fn absorb_and_record(
+    fn emit(&self, scheme: &str, workload: &str, point: &DegradationPoint) {
+        let total_pages = self.data_pages + self.spare_pages;
+        twl_telemetry::emit(&TelemetryRecord::Degradation {
+            scheme: scheme.to_owned(),
+            workload: workload.to_owned(),
+            at_logical_writes: point.logical_writes,
+            at_device_writes: point.device_writes,
+            corrected_groups: point.corrected_groups,
+            retired_pages: point.retired_pages,
+            spares_remaining: point.spares_remaining,
+            capacity_fraction: 1.0 - point.retired_pages as f64 / total_pages as f64,
+        });
+    }
+}
+
+impl Regime for Degradation<'_> {
+    type Report = DegradationReport;
+
+    /// The scheme translates the wear margin into the largest batch
+    /// that cannot push any single page across it.
+    fn batch_cap<S: WearLeveler + ?Sized>(&mut self, scheme: &S) -> u64 {
+        scheme.write_batch_cap(self.horizon.wear_margin()).max(1)
+    }
+
+    /// Unlimited wear policy: the device never fail-stops, so any error
+    /// here is a simulation bug.
+    fn fail(&mut self, error: PcmError) {
+        unreachable!("degradation sim hit a device error: {error}");
+    }
+
+    /// Runs one fault absorption, folds its events into the milestones
+    /// and the curve, and refreshes the horizon. Returns `false` when
+    /// the spare pool is exhausted — the graceful-degradation end of
+    /// life.
+    fn settle(
         &mut self,
-        engine: &mut twl_faults::FaultEngine,
         device: &mut PcmDevice,
-        scheme_name: &str,
-        workload_name: &str,
-        total_pages: u64,
-        absorb_span: &mut twl_telemetry::AggregateSpan,
+        logical_writes: u64,
+        scheme: &str,
+        workload: &str,
     ) -> bool {
-        match absorb_span.time(|| engine.absorb(device)) {
+        let engine = &mut *self.engine;
+        match self.absorb_span.time(|| engine.absorb(device)) {
             Ok(absorbed) => {
                 if absorbed.corrected_now > 0 && self.first_fault.is_none() {
                     self.first_fault = Some(device.total_writes());
                 }
                 if !absorbed.retirements.is_empty() {
                     self.first_retirement.get_or_insert(device.total_writes());
-                    let point = DegradationPoint {
-                        logical_writes: self.logical_writes,
-                        device_writes: device.total_writes(),
-                        corrected_groups: engine.corrected_groups(),
-                        retired_pages: device.retired_pages(),
-                        spares_remaining: device.spares_remaining(),
-                    };
+                    let point = self.point(logical_writes, device);
                     self.curve.push(point);
-                    emit_degradation_point(scheme_name, workload_name, &point, total_pages);
+                    self.emit(scheme, workload, &point);
                 }
-                true
             }
             Err(PcmError::SparesExhausted { .. }) => {
                 self.spare_exhausted = Some(device.total_writes());
                 self.end = DegradationEnd::SpareExhausted;
-                false
+                return false;
             }
             Err(e) => unreachable!("fault engine hit a non-spare device error: {e}"),
         }
+        self.horizon.observe(self.engine, device);
+        true
     }
 
     /// Closes the curve and assembles the report from the final device
     /// and engine state.
-    fn finish(
-        mut self,
-        scheme_name: &str,
-        workload_name: &str,
-        domain: &FaultDomain,
-        calibration: &Calibration,
-    ) -> DegradationReport {
-        let device = &domain.device;
-        let engine = &domain.engine;
-        let total_pages = domain.data_pages + domain.spare_pages;
-        let final_point = DegradationPoint {
-            logical_writes: self.logical_writes,
-            device_writes: device.total_writes(),
-            corrected_groups: engine.corrected_groups(),
-            retired_pages: device.retired_pages(),
-            spares_remaining: device.spares_remaining(),
-        };
+    fn finish(mut self, run: RunEnd<'_>, _: &WlStats, device: &PcmDevice) -> DegradationReport {
+        let final_point = self.point(run.logical_writes, device);
         if self.curve.last() != Some(&final_point) {
             self.curve.push(final_point);
-            emit_degradation_point(scheme_name, workload_name, &final_point, total_pages);
+            self.emit(run.scheme, &run.workload, &final_point);
         }
         let capacity_fraction =
             device.total_writes() as f64 / device.endurance_map().total() as f64;
-        DegradationReport {
-            scheme: scheme_name.to_owned(),
-            workload: workload_name.to_owned(),
-            data_pages: domain.data_pages,
-            spare_pages: domain.spare_pages,
-            logical_writes: self.logical_writes,
+        let report = DegradationReport {
+            scheme: run.scheme.to_owned(),
+            workload: run.workload,
+            data_pages: self.data_pages,
+            spare_pages: self.spare_pages,
+            logical_writes: run.logical_writes,
             device_writes: device.total_writes(),
-            corrected_groups: engine.corrected_groups(),
+            corrected_groups: self.engine.corrected_groups(),
             retired_pages: device.retired_pages(),
             first_fault_device_writes: self.first_fault,
             first_retirement_device_writes: self.first_retirement,
             spare_exhausted_device_writes: self.spare_exhausted,
             end: self.end,
             capacity_fraction,
-            years: calibration.years(capacity_fraction),
+            years: self.calibration.years(capacity_fraction),
             wear_gini: device.wear_stats().wear_gini,
             curve: self.curve,
-        }
+        };
+        // The absorb aggregate is charged to the drive span, so it
+        // closes first.
+        drop(self.absorb_span);
+        drop(run.drive_span);
+        report
     }
 }
 
-/// The batched graceful-degradation loop: the fault engine absorbs new
-/// cell faults after every serviced batch; each retirement appends a
-/// curve point (and a `degradation_point` trace record), and
-/// [`PcmError::SparesExhausted`] ends the run.
-///
-/// Batching is exact here, not approximate: an
-/// [`twl_faults::EventHorizon`] tracks every page's wear-distance to
-/// its next *observable* fault event (the run's first corrected group,
-/// then each retirement threshold), and each batch is capped through
-/// [`WearLeveler::write_batch_cap`] so no page can cross an event
-/// mid-batch. Quiet stretches batch by the thousands; as a page
-/// approaches a threshold the cap shrinks to one, so the crossing write
-/// is absorbed at exactly the device-write count the per-write loop
-/// would observe. The result is bit-identical to
-/// [`drive_degraded_unbatched`] for the same seed.
-fn drive_degraded(
-    scheme: &mut dyn WearLeveler,
-    domain: &mut FaultDomain,
-    mut source: WriteSource<'_>,
-    workload_name: &str,
-    limits: &SimLimits,
-    calibration: &Calibration,
-) -> DegradationReport {
-    let device = &mut domain.device;
-    let engine = &mut domain.engine;
-    let total_pages = domain.data_pages + domain.spare_pages;
-    let _span = twl_telemetry::span!("drive_degraded", scheme.name());
-    // Fault absorption runs once per batch — too often for one record
-    // each, hot enough to want visibility. The aggregate folds every
-    // call into a single span record with a `count`.
-    let mut absorb_span = twl_telemetry::AggregateSpan::new("absorb", scheme.name());
-    let mut telemetry = RunTelemetry::begin(scheme, device, workload_name);
-    let mut feedback: Option<WriteOutcome> = None;
-    let mut progress = DegradedProgress::new();
-    let mut horizon = twl_faults::EventHorizon::new(engine, device);
-    while progress.logical_writes < limits.max_logical_writes {
-        // The scheme translates the wear margin into the largest batch
-        // that cannot push any single page across it.
-        let cap = scheme.write_batch_cap(horizon.wear_margin()).max(1);
-        let budget = (limits.max_logical_writes - progress.logical_writes).min(cap);
-        let (la, len) = source.next_run(feedback.as_ref(), budget);
-        let len = len.clamp(1, budget);
-        let device_writes_before = device.total_writes();
-        let batch = scheme.write_batch(la, len, device);
-        if batch.serviced > 0 {
-            progress.logical_writes += batch.serviced;
-            telemetry.observe_batch(
-                la,
-                batch.serviced,
-                device.total_writes() - device_writes_before,
-                device,
-            );
-            feedback = batch.last;
-        }
-        // Unlimited wear policy: the device never fail-stops, so any
-        // error here is a simulation bug.
-        if let Some(e) = batch.failure {
-            unreachable!("degradation sim hit a device error: {e}");
-        }
-        assert!(
-            batch.serviced == len,
-            "write_batch serviced {} of {len} writes without failing",
-            batch.serviced
-        );
-        if !progress.absorb_and_record(
-            engine,
-            device,
-            scheme.name(),
-            workload_name,
-            total_pages,
-            &mut absorb_span,
-        ) {
-            break;
-        }
-        horizon.observe(engine, device);
+/// The oracle's view of a scheme: forwards the scalar methods and keeps
+/// the trait's default `write_batch` (a loop over `write`) and
+/// `write_batch_cap` (1), so every batch the loop issues is one scalar
+/// write.
+struct ScalarScheme<'a>(&'a mut dyn WearLeveler);
+
+impl WearLeveler for ScalarScheme<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
     }
-    telemetry.end(device);
-    progress.finish(scheme.name(), workload_name, domain, calibration)
+
+    fn page_count(&self) -> u64 {
+        self.0.page_count()
+    }
+
+    fn translate(&self, la: LogicalPageAddr) -> PhysicalPageAddr {
+        self.0.translate(la)
+    }
+
+    fn write(
+        &mut self,
+        la: LogicalPageAddr,
+        device: &mut PcmDevice,
+    ) -> Result<WriteOutcome, PcmError> {
+        self.0.write(la, device)
+    }
+
+    fn read(&mut self, la: LogicalPageAddr, device: &PcmDevice) -> Result<ReadOutcome, PcmError> {
+        self.0.read(la, device)
+    }
+
+    fn stats(&self) -> &WlStats {
+        self.0.stats()
+    }
 }
 
-/// The per-write graceful-degradation loop: the pre-batching reference
-/// semantics, absorbing faults after every single logical write. The
-/// equivalence oracle for [`drive_degraded`].
-fn drive_degraded_unbatched(
-    scheme: &mut dyn WearLeveler,
-    domain: &mut FaultDomain,
-    mut source: WriteSource<'_>,
-    workload_name: &str,
-    limits: &SimLimits,
-    calibration: &Calibration,
-) -> DegradationReport {
-    let device = &mut domain.device;
-    let engine = &mut domain.engine;
-    let total_pages = domain.data_pages + domain.spare_pages;
-    let _span = twl_telemetry::span!("drive_degraded_unbatched", scheme.name());
-    let mut absorb_span = twl_telemetry::AggregateSpan::new("absorb", scheme.name());
-    let mut telemetry = RunTelemetry::begin(scheme, device, workload_name);
-    let mut feedback: Option<WriteOutcome> = None;
-    let mut progress = DegradedProgress::new();
-    while progress.logical_writes < limits.max_logical_writes {
-        let la = source.next_write(feedback.as_ref());
-        match scheme.write(la, device) {
-            Ok(out) => {
-                progress.logical_writes += 1;
-                telemetry.observe(la, &out, device);
-                feedback = Some(out);
-            }
-            Err(e) => unreachable!("degradation sim hit a device error: {e}"),
-        }
-        if !progress.absorb_and_record(
-            engine,
-            device,
-            scheme.name(),
-            workload_name,
-            total_pages,
-            &mut absorb_span,
-        ) {
-            break;
-        }
+/// The oracle's view of a stream: keeps the trait's default `next_run`,
+/// which asks `next_write` for a run of one.
+struct ScalarStream<'a, A: ?Sized>(&'a mut A);
+
+impl<A: AttackStream + ?Sized> AttackStream for ScalarStream<'_, A> {
+    fn name(&self) -> &str {
+        self.0.name()
     }
-    telemetry.end(device);
-    progress.finish(scheme.name(), workload_name, domain, calibration)
+
+    fn next_write(&mut self, feedback: Option<&WriteOutcome>) -> LogicalPageAddr {
+        self.0.next_write(feedback)
+    }
 }
 
-fn emit_degradation_point(
-    scheme: &str,
-    workload: &str,
-    point: &DegradationPoint,
-    total_pages: u64,
-) {
-    twl_telemetry::emit(&TelemetryRecord::Degradation {
-        scheme: scheme.to_owned(),
-        workload: workload.to_owned(),
-        at_logical_writes: point.logical_writes,
-        at_device_writes: point.device_writes,
-        corrected_groups: point.corrected_groups,
-        retired_pages: point.retired_pages,
-        spares_remaining: point.spares_remaining,
-        capacity_fraction: 1.0 - point.retired_pages as f64 / total_pages as f64,
-    });
+/// A named synthetic workload as a write stream. It ignores feedback
+/// (reads are skipped — they neither wear the device nor influence
+/// wear-leveling state), and its addresses vary per write, so it keeps
+/// the default runs of 1.
+struct WorkloadStream<'a>(&'a mut SyntheticWorkload, &'a str);
+
+impl AttackStream for WorkloadStream<'_> {
+    fn name(&self) -> &str {
+        self.1
+    }
+
+    fn next_write(&mut self, _feedback: Option<&WriteOutcome>) -> LogicalPageAddr {
+        self.0.next_write_la()
+    }
 }
 
 /// Number of wear-map snapshots a full lifetime run aims for.
 const WEAR_SNAPSHOTS_PER_RUN: u64 = 32;
 
 /// Per-run observability: a wear-map sampler plus a passive HPCA'11
-/// attack monitor over the logical write stream. Fully skipped (no
-/// state, no per-write work beyond one branch) when no telemetry sink
-/// is installed when the run starts.
-struct RunTelemetry {
-    scheme: String,
-    workload: String,
-    active: Option<(WearMapSampler, AttackMonitor)>,
+/// attack monitor over the logical write stream. Absent (no state, no
+/// per-batch work beyond one branch) when no telemetry sink is
+/// installed when the run starts.
+struct RunTelemetry<'a> {
+    scheme: &'a str,
+    workload: &'a str,
+    sampler: WearMapSampler,
+    monitor: AttackMonitor,
 }
 
-impl RunTelemetry {
-    fn begin(scheme: &dyn WearLeveler, device: &PcmDevice, workload: &str) -> Self {
-        let active = twl_telemetry::enabled().then(|| {
+impl<'a> RunTelemetry<'a> {
+    fn begin(scheme: &'a str, workload: &'a str, device: &PcmDevice) -> Option<Self> {
+        twl_telemetry::enabled().then(|| {
             // Aim for WEAR_SNAPSHOTS_PER_RUN samples over the device's
             // total endurance — the longest any run can last.
             let cadence =
                 u64::try_from(device.endurance_map().total() / u128::from(WEAR_SNAPSHOTS_PER_RUN))
                     .unwrap_or(u64::MAX)
                     .max(1);
-            (
-                WearMapSampler::new(cadence, WEAR_SNAPSHOTS_PER_RUN as usize),
-                AttackMonitor::for_pages(),
-            )
-        });
-        Self {
-            scheme: scheme.name().to_owned(),
-            workload: workload.to_owned(),
-            active,
-        }
+            Self {
+                scheme,
+                workload,
+                sampler: WearMapSampler::new(cadence, WEAR_SNAPSHOTS_PER_RUN as usize),
+                monitor: AttackMonitor::for_pages(),
+            }
+        })
     }
 
     /// Batch-granular observation: the monitor replays the batch
@@ -654,50 +705,28 @@ impl RunTelemetry {
     /// to per-write observation), while the wear sampler sees the whole
     /// batch's device-write delta at once — snapshots land on batch
     /// boundaries instead of exact cadence multiples, the one telemetry
-    /// divergence of the fast path.
+    /// divergence of the fast path from the per-write oracle.
     fn observe_batch(
         &mut self,
-        la: twl_pcm::LogicalPageAddr,
+        la: LogicalPageAddr,
         serviced: u64,
         device_write_delta: u64,
         device: &PcmDevice,
     ) {
-        let Some((sampler, monitor)) = &mut self.active else {
-            return;
-        };
-        for (window, share) in monitor.observe_writes(la, serviced) {
+        for (window, share) in self.monitor.observe_writes(la, serviced) {
             twl_telemetry::emit(&TelemetryRecord::Alarm {
-                scheme: self.scheme.clone(),
+                scheme: self.scheme.to_owned(),
                 window,
                 share,
             });
         }
-        if let Some(snapshot) = sampler.observe(device_write_delta, device.wear_counters()) {
-            twl_telemetry::emit(&TelemetryRecord::Wear {
-                scheme: self.scheme.clone(),
-                workload: self.workload.clone(),
-                snapshot: snapshot.clone(),
-            });
-        }
-    }
-
-    fn observe(&mut self, la: twl_pcm::LogicalPageAddr, out: &WriteOutcome, device: &PcmDevice) {
-        let Some((sampler, monitor)) = &mut self.active else {
-            return;
-        };
-        if monitor.observe_write(la, Some(out)) {
-            twl_telemetry::emit(&TelemetryRecord::Alarm {
-                scheme: self.scheme.clone(),
-                window: monitor.windows(),
-                share: monitor.last_window_share(),
-            });
-        }
-        if let Some(snapshot) =
-            sampler.observe(u64::from(out.device_writes), device.wear_counters())
+        if let Some(snapshot) = self
+            .sampler
+            .observe(device_write_delta, device.wear_counters())
         {
             twl_telemetry::emit(&TelemetryRecord::Wear {
-                scheme: self.scheme.clone(),
-                workload: self.workload.clone(),
+                scheme: self.scheme.to_owned(),
+                workload: self.workload.to_owned(),
                 snapshot: snapshot.clone(),
             });
         }
@@ -705,61 +734,14 @@ impl RunTelemetry {
 
     /// Emits the final wear snapshot and returns the observed alarm rate.
     fn end(mut self, device: &PcmDevice) -> f64 {
-        let Some((sampler, monitor)) = &mut self.active else {
-            return 0.0;
-        };
-        let snapshot = sampler.snapshot_now(device.wear_counters()).clone();
+        let snapshot = self.sampler.snapshot_now(device.wear_counters()).clone();
         twl_telemetry::emit(&TelemetryRecord::Wear {
-            scheme: self.scheme.clone(),
-            workload: self.workload.clone(),
+            scheme: self.scheme.to_owned(),
+            workload: self.workload.to_owned(),
             snapshot,
         });
-        monitor.alarm_rate()
+        self.monitor.alarm_rate()
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    scheme: &dyn WearLeveler,
-    device: &PcmDevice,
-    workload: String,
-    logical_writes: u64,
-    failure: Option<twl_pcm::PhysicalPageAddr>,
-    calibration: &Calibration,
-    alarm_rate: f64,
-) -> LifetimeReport {
-    let _span = twl_telemetry::span!("report", scheme.name());
-    let stats = scheme.stats();
-    let total_endurance = device.endurance_map().total() as f64;
-    let capacity_fraction = device.total_writes() as f64 / total_endurance;
-    let report = LifetimeReport {
-        scheme: scheme.name().to_owned(),
-        workload,
-        logical_writes,
-        device_writes: device.total_writes(),
-        failed_page: failure,
-        completed: failure.is_some(),
-        capacity_fraction,
-        years: calibration.years(capacity_fraction),
-        swap_per_write: stats.swap_per_write(),
-        extra_write_ratio: stats.extra_write_ratio(),
-        wear_gini: device.wear_stats().wear_gini,
-    };
-    twl_telemetry::emit(&TelemetryRecord::Summary(SchemeSummary {
-        scheme: report.scheme.clone(),
-        workload: report.workload.clone(),
-        logical_writes: report.logical_writes,
-        device_writes: report.device_writes,
-        swaps: stats.swaps,
-        swap_per_write: report.swap_per_write,
-        extra_write_ratio: report.extra_write_ratio,
-        alarm_rate,
-        capacity_fraction: report.capacity_fraction,
-        years: report.years,
-        wear_gini: report.wear_gini,
-        completed: report.completed,
-    }));
-    report
 }
 
 #[cfg(test)]

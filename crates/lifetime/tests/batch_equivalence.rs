@@ -234,3 +234,62 @@ fn batched_trace_replays_are_bit_identical_too() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+mod scalar_only;
+
+#[test]
+fn per_write_oracles_only_use_the_scalar_paths() {
+    // The oracles share the batched loop; they must still reach the
+    // scheme only through `write` and the stream only through
+    // `next_write`, or they would stop being independent references.
+    for kind in SCHEMES {
+        let pcm = PcmConfig::builder()
+            .pages(64)
+            .mean_endurance(2_000)
+            .seed(1)
+            .build()
+            .expect("valid config");
+        let limits = SimLimits::default();
+        let calibration = Calibration::attack_8gbps();
+        for attack_kind in ATTACKS {
+            let mut device = PcmDevice::new(&pcm);
+            let scheme = build_scheme_spec(&SchemeSpec::new(kind), &device).expect("scheme builds");
+            let attack = Attack::new(attack_kind, scheme.page_count(), 1);
+            let report = run_attack_unbatched(
+                &mut scalar_only::ScalarOnlyScheme(scheme),
+                &mut device,
+                &mut scalar_only::ScalarOnlyStream(attack),
+                &limits,
+                &calibration,
+            );
+            assert_eq!(
+                (report, device.wear_counters().to_vec()),
+                attack_run(kind, attack_kind, 1, false),
+                "{kind} / {attack_kind}"
+            );
+        }
+
+        let bench = ParsecBenchmark::Canneal;
+        let mut runs = Vec::new();
+        for scalar_only in [true, false] {
+            let mut device = PcmDevice::new(&pcm);
+            let scheme = build_scheme_spec(&SchemeSpec::new(kind), &device).expect("scheme builds");
+            let mut workload = bench.workload(scheme.page_count(), 1);
+            let mut scheme: Box<dyn twl_wl_core::WearLeveler> = if scalar_only {
+                Box::new(scalar_only::ScalarOnlyScheme(scheme))
+            } else {
+                scheme
+            };
+            let report = run_workload_unbatched(
+                scheme.as_mut(),
+                &mut device,
+                &mut workload,
+                bench.name(),
+                &limits,
+                &calibration,
+            );
+            runs.push((report, device.wear_counters().to_vec()));
+        }
+        assert_eq!(runs[0], runs[1], "{kind} / canneal");
+    }
+}

@@ -162,3 +162,61 @@ fn workload_degradation_is_bit_identical() {
         assert_eq!(wear_b, wear_u, "{kind:?} workload wear diverged");
     }
 }
+
+mod scalar_only;
+
+#[test]
+fn per_write_oracles_only_use_the_scalar_paths() {
+    // The degradation oracles share the horizon-paced loop; they must
+    // still reach the scheme only through `write` (never
+    // `write_batch_cap`) and the stream only through `next_write`.
+    let limits = SimLimits {
+        max_logical_writes: 40_000,
+    };
+    let calibration = Calibration::attack_8gbps();
+    for kind in SCHEMES {
+        for attack_kind in [AttackKind::Repeat, AttackKind::Inconsistent] {
+            let mut domain = domain(2_000, 7);
+            let spec = SchemeSpec::new(kind);
+            let scheme = build_scheme_spec_for_region(&spec, &domain.device, domain.data_pages)
+                .expect("scheme builds");
+            let attack = Attack::new(attack_kind, scheme.page_count(), 7);
+            let report = run_degradation_attack_unbatched(
+                &mut scalar_only::ScalarOnlyScheme(scheme),
+                &mut domain,
+                &mut scalar_only::ScalarOnlyStream(attack),
+                &limits,
+                &calibration,
+            );
+            assert_eq!(
+                (report, domain.device.wear_counters().to_vec()),
+                attack_run(kind, attack_kind, 7, &limits, false),
+                "{kind:?} / {attack_kind:?}"
+            );
+        }
+
+        let mut runs = Vec::new();
+        for scalar_only in [true, false] {
+            let mut domain = domain(1_000, 5);
+            let spec = SchemeSpec::new(kind);
+            let scheme = build_scheme_spec_for_region(&spec, &domain.device, domain.data_pages)
+                .expect("scheme builds");
+            let mut workload = ParsecBenchmark::Canneal.workload(scheme.page_count(), 5);
+            let mut scheme: Box<dyn twl_wl_core::WearLeveler> = if scalar_only {
+                Box::new(scalar_only::ScalarOnlyScheme(scheme))
+            } else {
+                scheme
+            };
+            let report = run_degradation_workload_unbatched(
+                scheme.as_mut(),
+                &mut domain,
+                &mut workload,
+                "canneal",
+                &limits,
+                &calibration,
+            );
+            runs.push((report, domain.device.wear_counters().to_vec()));
+        }
+        assert_eq!(runs[0], runs[1], "{kind:?} / canneal");
+    }
+}

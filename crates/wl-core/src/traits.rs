@@ -60,20 +60,31 @@ pub trait WearLeveler: Send {
     /// engine, NOWL, BWL, Start-Gap) override it to fast-forward plain
     /// stretches with bulk device writes.
     fn write_batch(&mut self, la: LogicalPageAddr, n: u64, device: &mut PcmDevice) -> BatchOutcome {
-        let mut batch = BatchOutcome::default();
-        for _ in 0..n {
+        // Plain locals, not a `BatchOutcome` filled in place: the
+        // lifetime simulator's per-write oracle runs through this loop,
+        // and this shape hands the outcome back with one copy, not two.
+        let mut serviced = 0;
+        let mut last = None;
+        while serviced < n {
             match self.write(la, device) {
                 Ok(outcome) => {
-                    batch.serviced += 1;
-                    batch.last = Some(outcome);
+                    serviced += 1;
+                    last = Some(outcome);
                 }
                 Err(e) => {
-                    batch.failure = Some(e);
-                    break;
+                    return BatchOutcome {
+                        serviced,
+                        last,
+                        failure: Some(e),
+                    };
                 }
             }
         }
-        batch
+        BatchOutcome {
+            serviced,
+            last,
+            failure: None,
+        }
     }
 
     /// Largest batch of same-page logical writes guaranteed to grow any

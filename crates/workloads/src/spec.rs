@@ -842,8 +842,7 @@ impl AttackStream for BuiltWorkload {
             Stream::Scan(a) => a.next_run(feedback, max),
             Stream::Inconsistent(a) => a.next_run(feedback, max),
             // The synthetic generators ignore feedback and vary their
-            // address per write: runs of one, like the legacy
-            // `WriteSource::Workload` arm.
+            // address per write: runs of one.
             Stream::Synthetic(w) => (w.next_write_la(), 1),
             Stream::Trace(t) => t.next_run(max),
         }
