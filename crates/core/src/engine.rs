@@ -77,8 +77,8 @@ pub struct TossUpWearLeveling {
     rt: RemappingTable,
     wct: WriteCounterTable,
     pairs: PairTable,
-    /// Factory-tested endurance per physical page (the ET of Fig. 5).
-    initial_endurance: Vec<u64>,
+    /// Factory-tested endurance per physical page (the ET of Fig. 5), shared.
+    endurance: EnduranceMap,
     /// The event RNG behind a FIFO prefetch buffer: batch runs generate
     /// their expected draws in one bulk pass, while the observed stream
     /// stays draw-for-draw identical to the bare generator's — the
@@ -108,7 +108,7 @@ impl TossUpWearLeveling {
             rt: RemappingTable::identity(n),
             wct: WriteCounterTable::new(n),
             pairs,
-            initial_endurance: endurance.iter().map(|(_, e)| e).collect(),
+            endurance: endurance.clone(),
             rng: RngBuffer::new(Xoshiro256StarStar::seed_from(config.rng_seed)),
             global_writes: 0,
             toss_ups: 0,
@@ -155,7 +155,7 @@ impl TossUpWearLeveling {
         if self.config.dynamic_endurance {
             device.remaining(pa)
         } else {
-            self.initial_endurance[pa.as_usize()]
+            self.endurance.endurance(pa)
         }
     }
 

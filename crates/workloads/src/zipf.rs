@@ -1,5 +1,7 @@
 //! Zipf-distributed rank sampling.
 
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 use twl_rng::SimRng;
 
 /// A Zipf sampler over ranks `0..n` with exponent `alpha ≥ 0`:
@@ -82,6 +84,17 @@ impl Zipf {
     }
 }
 
+/// Process-wide memo of solved exponents, keyed by
+/// `(hot_share.to_bits(), footprint)`. Each entry is a compute-once cell,
+/// so concurrent callers with one key wait for a single solve; entries
+/// are never evicted (one is 24 bytes plus its cell, and callers use a
+/// handful of keys).
+static SOLVED_ALPHAS: LazyLock<Mutex<HashMap<(u64, u64), SolvedAlpha>>> =
+    LazyLock::new(Mutex::default);
+
+/// One memo entry: set once by the first solve of its key.
+type SolvedAlpha = Arc<OnceLock<f64>>;
+
 /// Finds the Zipf exponent for which the hottest of `footprint` ranks
 /// carries probability `hot_share`, by bisection.
 ///
@@ -89,6 +102,14 @@ impl Zipf {
 /// `ideal lifetime / lifetime-without-WL` ratio into a concrete locality
 /// model: under no wear leveling, lifetime is governed by the hottest
 /// page's share of the write traffic (see `twl-workloads` crate docs).
+///
+/// The result is a pure function of its arguments and is memoized for
+/// the life of the process per `(hot_share, footprint)`: the first call
+/// with a key solves it (about 6 s at the paper's 4.2 M-page canneal
+/// footprint), and every later call, from any thread, returns the same
+/// bits. A call that arrives while another thread is solving the same
+/// key waits for that solve instead of repeating it; no lock is held
+/// while solving, so other keys proceed in parallel.
 ///
 /// # Panics
 ///
@@ -112,17 +133,41 @@ pub fn zipf_alpha_for_hot_share(hot_share: f64, footprint: u64) -> f64 {
         hot_share > min_share && hot_share < 0.99,
         "hot share {hot_share} unachievable over footprint {footprint}"
     );
-    let share_at = |alpha: f64| Zipf::new(footprint, alpha).hottest_share();
+    let cell = Arc::clone(
+        SOLVED_ALPHAS
+            .lock()
+            .expect("zipf alpha memo lock poisoned")
+            .entry((hot_share.to_bits(), footprint))
+            .or_default(),
+    );
+    *cell.get_or_init(|| solve_alpha(hot_share, footprint))
+}
+
+/// The bisection behind [`zipf_alpha_for_hot_share`].
+fn solve_alpha(hot_share: f64, footprint: u64) -> f64 {
     let (mut lo, mut hi) = (0.0f64, 8.0f64);
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        if share_at(mid) < hot_share {
+        if hottest_share(footprint, mid) < hot_share {
             lo = mid;
         } else {
             hi = mid;
         }
     }
     0.5 * (lo + hi)
+}
+
+/// `Zipf::new(n, alpha).hottest_share()` without building the CDF.
+///
+/// The normalizing sum runs in `Zipf::new`'s order, and rank 0's
+/// unnormalized mass is exactly `1.0` (`1^alpha == 1`), so the quotient
+/// is bit-equal to `cdf[0] = acc₀ / total`.
+fn hottest_share(n: u64, alpha: f64) -> f64 {
+    let mut total = 0.0;
+    for k in 0..n {
+        total += 1.0 / ((k + 1) as f64).powf(alpha);
+    }
+    1.0 / total
 }
 
 #[cfg(test)]
@@ -184,6 +229,82 @@ mod tests {
                 "share {share} -> alpha {alpha} -> {achieved}"
             );
         }
+    }
+
+    /// The calibration in its original form: bisection over fully built
+    /// samplers. The memoized, allocation-free path must return its bits.
+    fn reference_alpha(hot_share: f64, footprint: u64) -> f64 {
+        let share_at = |alpha: f64| Zipf::new(footprint, alpha).hottest_share();
+        let (mut lo, mut hi) = (0.0f64, 8.0f64);
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if share_at(mid) < hot_share {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn allocation_free_share_is_bit_equal_to_the_cdf() {
+        for n in [2, 3, 4096, 65_537] {
+            for step in 0..=32 {
+                let alpha = f64::from(step) * 0.25;
+                assert_eq!(
+                    hottest_share(n, alpha).to_bits(),
+                    Zipf::new(n, alpha).hottest_share().to_bits(),
+                    "n {n} alpha {alpha}"
+                );
+            }
+            // Off-grid exponents, as the bisection visits them.
+            for alpha in [1e-9, 0.123_456_789, 1.000_000_1, 7.999_999] {
+                assert_eq!(
+                    hottest_share(n, alpha).to_bits(),
+                    Zipf::new(n, alpha).hottest_share().to_bits(),
+                    "n {n} alpha {alpha}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_alpha_matches_reference_bisection() {
+        for (share, footprint) in [
+            (0.002, 4096),
+            (0.004, 4096),
+            (0.007, 4096),
+            (0.02, 4096),
+            (0.1, 4096),
+            (0.6, 2),
+            (0.4, 3),
+            (0.001, 65_537),
+        ] {
+            let want = reference_alpha(share, footprint).to_bits();
+            // First call solves (or finds another test's solve), second
+            // is served from the memo; both must be the reference bits.
+            assert_eq!(zipf_alpha_for_hot_share(share, footprint).to_bits(), want);
+            assert_eq!(zipf_alpha_for_hot_share(share, footprint).to_bits(), want);
+        }
+    }
+
+    #[test]
+    fn concurrent_first_calls_agree() {
+        // A key no other test uses, so both threads race on a new entry.
+        let (share, footprint) = (0.012_345, 5003);
+        let barrier = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|scope| {
+            let handles = [(); 2].map(|()| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    zipf_alpha_for_hot_share(share, footprint)
+                })
+            });
+            handles.map(|h| h.join().expect("solver thread panicked"))
+        });
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(a.to_bits(), reference_alpha(share, footprint).to_bits());
     }
 
     #[test]
