@@ -17,7 +17,10 @@
 //! pages* (the frames that actually wear). Initially the mapping is the
 //! identity; [`PcmDevice::retire_page`] rebinds a slot to a page from
 //! the spare pool, so schemes keep issuing the same addresses while the
-//! device transparently serves them from healthy frames.
+//! device transparently serves them from healthy frames. The slot maps
+//! are only materialized by the first retirement: until then every
+//! write indexes the wear table directly, with no dependent load
+//! through a page-count-sized map.
 
 use crate::{EnduranceMap, PcmConfig, PcmError, PhysicalPageAddr, WearStats};
 
@@ -128,12 +131,14 @@ pub struct PcmDevice {
     total_writes: u64,
     first_failure: Option<PhysicalPageAddr>,
     policy: WearPolicy,
-    /// Slot → physical page. Identity until retirements rebind slots.
-    /// Held as `u32` so the hot translate step touches half the cache
-    /// lines; snapshots widen to `u64` to keep the serialized form
-    /// byte-identical across the narrowing.
+    /// Slot → physical page, or empty while the mapping is the
+    /// identity: the first [`PcmDevice::retire_page`] builds it. Held as
+    /// `u32` so the translate step touches half the cache lines;
+    /// snapshots widen to `u64` (and write the identity out in full) to
+    /// keep the serialized form byte-identical.
     forward: Vec<u32>,
-    /// Physical page → owning slot (inverse of `forward` on live pages).
+    /// Physical page → owning slot (inverse of `forward` on live pages);
+    /// empty exactly when `forward` is.
     back: Vec<u32>,
     /// Physical pages permanently taken out of service.
     retired: Vec<bool>,
@@ -177,8 +182,8 @@ impl PcmDevice {
             total_writes: 0,
             first_failure: None,
             policy: WearPolicy::FailStop,
-            forward: (0..pages as u32).collect(),
-            back: (0..pages as u32).collect(),
+            forward: Vec::new(),
+            back: Vec::new(),
             retired: vec![false; pages],
             spares: Vec::new(),
             retired_count: 0,
@@ -289,7 +294,7 @@ impl PcmDevice {
     #[inline]
     #[must_use]
     pub fn resolve(&self, slot: PhysicalPageAddr) -> PhysicalPageAddr {
-        PhysicalPageAddr::new(u64::from(self.forward[slot.as_usize()]))
+        PhysicalPageAddr::new(self.physical(slot) as u64)
     }
 
     /// The slot a live physical page currently serves.
@@ -300,7 +305,39 @@ impl PcmDevice {
     #[inline]
     #[must_use]
     pub fn owner_of(&self, phys: PhysicalPageAddr) -> PhysicalPageAddr {
-        PhysicalPageAddr::new(u64::from(self.back[phys.as_usize()]))
+        if self.back.is_empty() {
+            self.assert_in_range(phys);
+            phys
+        } else {
+            PhysicalPageAddr::new(u64::from(self.back[phys.as_usize()]))
+        }
+    }
+
+    /// The physical page index backing `slot`, skipping the slot map
+    /// while it is the identity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    #[inline]
+    fn physical(&self, slot: PhysicalPageAddr) -> usize {
+        if self.forward.is_empty() {
+            self.assert_in_range(slot);
+            slot.as_usize()
+        } else {
+            self.forward[slot.as_usize()] as usize
+        }
+    }
+
+    /// The range check an unmaterialized slot map cannot make by
+    /// indexing.
+    #[inline]
+    fn assert_in_range(&self, addr: PhysicalPageAddr) {
+        assert!(
+            addr.index() < self.config.pages,
+            "{addr} outside a {}-page device",
+            self.config.pages
+        );
     }
 
     /// Retires the physical page currently backing `slot` and rebinds
@@ -321,6 +358,11 @@ impl PcmDevice {
         let Some(spare) = self.spares.pop() else {
             return Err(PcmError::SparesExhausted { slot });
         };
+        if self.forward.is_empty() {
+            let pages = self.config.pages as u32;
+            self.forward = (0..pages).collect();
+            self.back = (0..pages).collect();
+        }
         let old = self.forward[slot.as_usize()] as usize;
         self.retired[old] = true;
         self.retired_count += 1;
@@ -370,7 +412,7 @@ impl PcmDevice {
     #[inline]
     pub fn write_page(&mut self, addr: PhysicalPageAddr) -> Result<(), PcmError> {
         self.check_addr(addr)?;
-        let phys = self.forward[addr.as_usize()] as usize;
+        let phys = self.physical(addr);
         if self.policy == WearPolicy::FailStop
             && self.wear[phys] >= self.endurance.endurance(PhysicalPageAddr::new(phys as u64))
         {
@@ -408,7 +450,7 @@ impl PcmDevice {
                 failure: Some(e),
             };
         }
-        let phys = self.forward[addr.as_usize()] as usize;
+        let phys = self.physical(addr);
         let landed = match self.policy {
             WearPolicy::Unlimited => n,
             WearPolicy::FailStop => {
@@ -452,7 +494,7 @@ impl PcmDevice {
     #[inline]
     #[must_use]
     pub fn wear(&self, addr: PhysicalPageAddr) -> u64 {
-        self.wear[self.forward[addr.as_usize()] as usize]
+        self.wear[self.physical(addr)]
     }
 
     /// Tested endurance of the physical page backing `addr`.
@@ -488,12 +530,21 @@ impl PcmDevice {
     /// the slot indirection on every comparison.
     pub fn remaining_table(&self, out: &mut Vec<u64>) {
         out.clear();
-        out.reserve(self.forward.len());
+        out.reserve(self.config.pages as usize);
         let endurance = self.endurance.values();
-        out.extend(self.forward.iter().map(|&phys| {
-            let p = phys as usize;
-            endurance[p].saturating_sub(self.wear[p])
-        }));
+        if self.forward.is_empty() {
+            out.extend(
+                endurance
+                    .iter()
+                    .zip(&self.wear)
+                    .map(|(&e, &w)| e.saturating_sub(w)),
+            );
+        } else {
+            out.extend(self.forward.iter().map(|&phys| {
+                let p = phys as usize;
+                endurance[p].saturating_sub(self.wear[p])
+            }));
+        }
     }
 
     /// Whether the page backing `addr` has exhausted its tested
@@ -568,8 +619,8 @@ impl PcmDevice {
             total_writes: self.total_writes,
             first_failure: self.first_failure,
             policy: self.policy,
-            forward: self.forward.iter().map(|&v| u64::from(v)).collect(),
-            back: self.back.iter().map(|&v| u64::from(v)).collect(),
+            forward: widen_slot_map(&self.forward, self.config.pages),
+            back: widen_slot_map(&self.back, self.config.pages),
             retired: self.retired.clone(),
             spares: self.spares.clone(),
             retired_count: self.retired_count,
@@ -636,6 +687,15 @@ impl PcmDevice {
                 ));
             }
         }
+        // A device that never retired a page restores onto the same
+        // identity fast path it was snapshotted from.
+        let identity = |map: &[u64]| map.iter().enumerate().all(|(i, &v)| v == i as u64);
+        let (forward, back) = if identity(&snapshot.forward) && identity(&snapshot.back) {
+            (Vec::new(), Vec::new())
+        } else {
+            let narrow = |map: &[u64]| map.iter().map(|&v| v as u32).collect();
+            (narrow(&snapshot.forward), narrow(&snapshot.back))
+        };
         Ok(Self {
             config: snapshot.config,
             endurance: snapshot.endurance,
@@ -643,13 +703,23 @@ impl PcmDevice {
             total_writes: snapshot.total_writes,
             first_failure: snapshot.first_failure,
             policy: snapshot.policy,
-            forward: snapshot.forward.iter().map(|&v| v as u32).collect(),
-            back: snapshot.back.iter().map(|&v| v as u32).collect(),
+            forward,
+            back,
             retired: snapshot.retired,
             spares: snapshot.spares,
             retired_count: snapshot.retired_count,
             write_log: None,
         })
+    }
+}
+
+/// A slot map in its serialized `u64` form; an unmaterialized (identity)
+/// map is written out in full.
+fn widen_slot_map(map: &[u32], pages: u64) -> Vec<u64> {
+    if map.is_empty() {
+        (0..pages).collect()
+    } else {
+        map.iter().map(|&v| u64::from(v)).collect()
     }
 }
 
@@ -967,6 +1037,103 @@ mod tests {
             PcmDevice::restore(snap),
             Err(PcmError::InvalidConfig(_))
         ));
+    }
+
+    /// `device` with its slot maps built up front: the reference the
+    /// identity fast path must match.
+    fn eager_device(pages: u64, endurance: u64) -> PcmDevice {
+        let mut dev = device(pages, endurance);
+        dev.forward = (0..pages as u32).collect();
+        dev.back = (0..pages as u32).collect();
+        dev
+    }
+
+    /// Asserts every slot-map observer agrees between `lazy` and `eager`.
+    fn assert_same_view(lazy: &PcmDevice, eager: &PcmDevice) {
+        for i in 0..lazy.page_count() {
+            let pa = PhysicalPageAddr::new(i);
+            assert_eq!(lazy.resolve(pa), eager.resolve(pa), "resolve {i}");
+            assert_eq!(lazy.owner_of(pa), eager.owner_of(pa), "owner_of {i}");
+            assert_eq!(lazy.is_retired(pa), eager.is_retired(pa), "is_retired {i}");
+            assert_eq!(lazy.wear(pa), eager.wear(pa), "wear {i}");
+            assert_eq!(lazy.endurance(pa), eager.endurance(pa), "endurance {i}");
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        lazy.remaining_table(&mut a);
+        eager.remaining_table(&mut b);
+        assert_eq!(a, b);
+        let per_slot: Vec<u64> = (0..eager.page_count())
+            .map(|i| eager.remaining(PhysicalPageAddr::new(i)))
+            .collect();
+        assert_eq!(a, per_slot, "remaining_table is remaining() in slot order");
+        assert_eq!(lazy.snapshot(), eager.snapshot());
+    }
+
+    #[test]
+    fn never_retired_snapshot_writes_explicit_identity_maps() {
+        let mut dev = device(8, 50);
+        dev.write_page_n(PhysicalPageAddr::new(5), 9);
+        assert!(dev.forward.is_empty(), "no retirement, no slot map");
+        let explicit = DeviceSnapshot {
+            forward: (0..8).collect(),
+            back: (0..8).collect(),
+            ..dev.snapshot()
+        };
+        assert_eq!(dev.snapshot(), explicit);
+        let restored = PcmDevice::restore(explicit).unwrap();
+        assert!(
+            restored.forward.is_empty() && restored.back.is_empty(),
+            "an identity snapshot restores onto the identity fast path"
+        );
+        assert_eq!(restored.wear(PhysicalPageAddr::new(5)), 9);
+        assert_same_view(&restored, &dev);
+    }
+
+    #[test]
+    fn identity_fast_path_matches_eager_maps_across_retirements() {
+        let (mut lazy, mut eager) = (device(10, 20), eager_device(10, 20));
+        let spares = vec![PhysicalPageAddr::new(8), PhysicalPageAddr::new(9)];
+        for dev in [&mut lazy, &mut eager] {
+            dev.set_wear_policy(WearPolicy::Unlimited);
+            dev.set_spare_pool(spares.clone());
+            for slot in 0..8 {
+                dev.write_page_n(PhysicalPageAddr::new(slot), slot * 3 + 1);
+            }
+        }
+        assert_same_view(&lazy, &eager);
+        for slot in [3, 5] {
+            let slot = PhysicalPageAddr::new(slot);
+            assert_eq!(lazy.retire_page(slot), eager.retire_page(slot));
+            assert!(!lazy.forward.is_empty(), "retirement builds the maps");
+            assert_same_view(&lazy, &eager);
+            for dev in [&mut lazy, &mut eager] {
+                dev.write_page(slot).unwrap();
+                dev.write_page_n(PhysicalPageAddr::new(4), 2);
+            }
+            assert_same_view(&lazy, &eager);
+        }
+        let restored = PcmDevice::restore(lazy.snapshot()).unwrap();
+        assert_same_view(&restored, &eager);
+    }
+
+    #[test]
+    fn out_of_range_slot_map_queries_panic_before_and_after_retirement() {
+        let mut dev = device(4, 10);
+        let past = PhysicalPageAddr::new(4);
+        for retired in [false, true] {
+            if retired {
+                dev.set_spare_pool(vec![PhysicalPageAddr::new(3)]);
+                dev.retire_page(PhysicalPageAddr::new(0)).unwrap();
+            }
+            let panics = |query: &dyn Fn(&PcmDevice)| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| query(&dev))).is_err()
+            };
+            assert!(panics(&|d| _ = d.resolve(past)), "resolve, {retired}");
+            assert!(panics(&|d| _ = d.owner_of(past)), "owner_of, {retired}");
+            assert!(panics(&|d| _ = d.is_retired(past)), "is_retired, {retired}");
+            assert!(panics(&|d| _ = d.wear(past)), "wear, {retired}");
+            assert!(panics(&|d| _ = d.endurance(past)), "endurance, {retired}");
+        }
     }
 
     #[test]
