@@ -18,7 +18,7 @@
 
 use twl_attacks::AttackKind;
 use twl_bench::{print_table, ExperimentConfig};
-use twl_lifetime::{attack_matrix, workload_matrix, SchemeSpec, SimLimits};
+use twl_lifetime::{lifetime_matrix, SchemeSpec, SimLimits};
 use twl_workloads::ParsecBenchmark;
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
     ];
 
     let specs: Vec<SchemeSpec> = variants.iter().map(|(_, s)| *s).collect();
-    let reports = attack_matrix(
+    let reports = lifetime_matrix(
         &config.pcm_config(),
         &specs,
         &AttackKind::ALL,
@@ -79,13 +79,13 @@ fn main() {
         ("naive (DATE'12 flow only)", spec("BWL[repair=0]")),
     ];
     let bwl_specs: Vec<SchemeSpec> = bwl_variants.iter().map(|(_, s)| *s).collect();
-    let benign = workload_matrix(
+    let benign = lifetime_matrix(
         &config.pcm_config(),
         &bwl_specs,
         &[bench],
         &SimLimits::default(),
     );
-    let attacked = attack_matrix(
+    let attacked = lifetime_matrix(
         &config.pcm_config(),
         &bwl_specs,
         &[AttackKind::Inconsistent],

@@ -17,7 +17,7 @@
 
 use twl_attacks::AttackKind;
 use twl_bench::{print_table, ExperimentConfig};
-use twl_lifetime::{attack_matrix, SchemeKind, SimLimits};
+use twl_lifetime::{lifetime_matrix, SchemeKind, SimLimits};
 use twl_pcm::PcmConfig;
 
 fn main() {
@@ -47,13 +47,13 @@ fn main() {
             .build()
             .expect("valid sweep config");
         // Scheme-major order: SR scan, SR incons., TWL scan, TWL incons.
-        let main = attack_matrix(
+        let main = lifetime_matrix(
             &pcm,
             &[SchemeKind::Sr, SchemeKind::TwlSwp],
             &[AttackKind::Scan, AttackKind::Inconsistent],
             &SimLimits::default(),
         );
-        let bwl = attack_matrix(
+        let bwl = lifetime_matrix(
             &pcm,
             &[SchemeKind::Bwl],
             &[AttackKind::Inconsistent],

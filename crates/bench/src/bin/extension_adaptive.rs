@@ -15,10 +15,10 @@
 use twl_attacks::{Attack, AttackKind};
 use twl_baselines::{AdaptiveSecurityRefresh, SecurityRefresh, SrConfig};
 use twl_bench::{print_table, ExperimentConfig};
-use twl_lifetime::{run_attack, run_workload, Calibration, SimLimits};
+use twl_lifetime::{run_attack, Calibration, SimLimits};
 use twl_pcm::PcmDevice;
 use twl_wl_core::WearLeveler;
-use twl_workloads::ParsecBenchmark;
+use twl_workloads::{ParsecBenchmark, WorkloadSpec};
 
 fn main() {
     let config = ExperimentConfig::from_env();
@@ -73,15 +73,16 @@ fn main() {
         let bench = ParsecBenchmark::Canneal;
         let mut device = PcmDevice::new(&config.pcm_config());
         let mut scheme = build();
-        let mut workload = bench.workload(config.pages, config.seed);
+        let mut workload = WorkloadSpec::from(bench)
+            .build(config.pages, config.seed)
+            .expect("canneal builds for the device");
         let limits = SimLimits {
             max_logical_writes: 2_000_000,
         };
-        let benign = run_workload(
+        let benign = run_attack(
             scheme.as_mut(),
             &mut device,
             &mut workload,
-            bench.name(),
             &limits,
             &Calibration::for_bandwidth_mbps(bench.write_bandwidth_mbps()),
         );

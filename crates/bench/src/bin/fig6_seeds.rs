@@ -10,7 +10,7 @@
 
 use twl_attacks::AttackKind;
 use twl_bench::{print_table, ExperimentConfig};
-use twl_lifetime::{attack_matrix, SchemeKind, SimLimits};
+use twl_lifetime::{lifetime_matrix, SchemeKind, SimLimits};
 use twl_pcm::PcmConfig;
 
 const SEEDS: [u64; 5] = [42, 7, 1234, 9001, 31337];
@@ -33,7 +33,7 @@ fn main() {
     let mut grid = vec![vec![Vec::new(); attacks.len()]; schemes.len()];
     for &seed in &SEEDS {
         let pcm = PcmConfig::scaled(config.pages, config.mean_endurance, seed);
-        let reports = attack_matrix(&pcm, &schemes, &attacks, &SimLimits::default());
+        let reports = lifetime_matrix(&pcm, &schemes, &attacks, &SimLimits::default());
         for (i, report) in reports.iter().enumerate() {
             grid[i / attacks.len()][i % attacks.len()].push(report.years);
         }

@@ -6,7 +6,7 @@
 //! Run: `cargo run --release -p twl-bench --bin fig8_lifetime [-- --pages N ...]`
 
 use twl_bench::{print_table, ExperimentConfig};
-use twl_lifetime::{workload_matrix, SchemeKind, SimLimits};
+use twl_lifetime::{lifetime_matrix, SchemeKind, SimLimits};
 use twl_workloads::ParsecBenchmark;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
     let mut sums = vec![0.0f64; schemes.len()];
     let mut rows = Vec::new();
 
-    let reports = workload_matrix(
+    let reports = lifetime_matrix(
         &config.pcm_config(),
         &schemes,
         &ParsecBenchmark::ALL,

@@ -11,7 +11,7 @@
 //! Run: `cargo run --release -p twl-bench --bin fig9_perf [-- --pages N ...]`
 
 use twl_bench::{print_table, ExperimentConfig};
-use twl_lifetime::{build_scheme, SchemeKind};
+use twl_lifetime::{build_scheme_spec, SchemeKind};
 use twl_memctrl::{simulate_execution, simulate_execution_banked, MemCtrlConfig};
 use twl_pcm::{PcmConfig, PcmDevice};
 use twl_workloads::ParsecBenchmark;
@@ -45,7 +45,8 @@ fn main() {
 
         // Baseline: NOWL on the identical command stream.
         let mut base_device = PcmDevice::new(&pcm);
-        let mut nowl = build_scheme(SchemeKind::Nowl, &base_device).expect("NOWL builds");
+        let mut nowl =
+            build_scheme_spec(&SchemeKind::Nowl.into(), &base_device).expect("NOWL builds");
         let mut workload = bench.workload(config.pages, config.seed);
         let base = simulate_execution(
             &ctrl,
@@ -59,8 +60,8 @@ fn main() {
         let mut cells = vec![bench.name().to_owned()];
         for (i, &kind) in schemes.iter().enumerate() {
             let mut device = PcmDevice::new(&pcm);
-            let mut scheme =
-                build_scheme(kind, &device).unwrap_or_else(|e| panic!("cannot build {kind}: {e}"));
+            let mut scheme = build_scheme_spec(&kind.into(), &device)
+                .unwrap_or_else(|e| panic!("cannot build {kind}: {e}"));
             let mut workload = bench.workload(config.pages, config.seed);
             let report =
                 simulate_execution(&ctrl, scheme.as_mut(), &mut device, &mut workload, REQUESTS)
@@ -88,7 +89,8 @@ fn main() {
         let ctrl =
             MemCtrlConfig::for_bandwidth(bench.write_bandwidth_mbps(), pcm.page_size_bytes, 0.55);
         let mut base_device = PcmDevice::new(&pcm);
-        let mut nowl = build_scheme(SchemeKind::Nowl, &base_device).expect("NOWL builds");
+        let mut nowl =
+            build_scheme_spec(&SchemeKind::Nowl.into(), &base_device).expect("NOWL builds");
         let mut workload = bench.workload(config.pages, config.seed);
         let base = simulate_execution_banked(
             &ctrl,
@@ -101,8 +103,8 @@ fn main() {
         let mut cells = vec![bench.name().to_owned()];
         for &kind in &schemes {
             let mut device = PcmDevice::new(&pcm);
-            let mut scheme =
-                build_scheme(kind, &device).unwrap_or_else(|e| panic!("cannot build {kind}: {e}"));
+            let mut scheme = build_scheme_spec(&kind.into(), &device)
+                .unwrap_or_else(|e| panic!("cannot build {kind}: {e}"));
             let mut workload = bench.workload(config.pages, config.seed);
             let report = simulate_execution_banked(
                 &ctrl,

@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p twl-bench --bin table2 [-- --pages N ...]`
 
 use twl_bench::{print_table, ExperimentConfig};
-use twl_lifetime::{build_scheme, run_workload, Calibration, SchemeKind, SimLimits};
+use twl_lifetime::{run_lifetime_cell, Calibration, SchemeKind, SimLimits};
 use twl_workloads::ParsecBenchmark;
 
 fn main() {
@@ -31,16 +31,11 @@ fn main() {
     let mut rows = Vec::new();
     for bench in ParsecBenchmark::ALL {
         let calibration = Calibration::for_bandwidth_mbps(bench.write_bandwidth_mbps());
-        let mut device = config.device();
-        let mut scheme = build_scheme(SchemeKind::Nowl, &device).expect("NOWL always builds");
-        let mut workload = bench.workload(config.pages, config.seed);
-        let report = run_workload(
-            scheme.as_mut(),
-            &mut device,
-            &mut workload,
-            bench.name(),
+        let report = run_lifetime_cell(
+            &config.pcm_config(),
+            SchemeKind::Nowl,
+            bench,
             &SimLimits::default(),
-            &calibration,
         );
         rows.push(vec![
             bench.name().to_owned(),

@@ -29,7 +29,7 @@
 use std::time::Instant;
 use twl_attacks::{Attack, AttackKind};
 use twl_lifetime::{
-    build_scheme, run_attack, run_attack_unbatched, Calibration, LifetimeReport, SchemeKind,
+    build_scheme_spec, run_attack, run_attack_unbatched, Calibration, LifetimeReport, SchemeKind,
     SimLimits,
 };
 use twl_pcm::{PcmConfig, PcmDevice};
@@ -127,7 +127,7 @@ fn run_once(
     batched: bool,
 ) -> (LifetimeReport, Vec<u64>, f64) {
     let mut device = PcmDevice::new(&pcm_config(args));
-    let mut scheme = build_scheme(kind, &device)
+    let mut scheme = build_scheme_spec(&kind.into(), &device)
         .unwrap_or_else(|e| panic!("cannot build {kind} for this device: {e}"));
     let mut attack = Attack::new(attack_kind, scheme.page_count(), args.seed);
     let limits = SimLimits {

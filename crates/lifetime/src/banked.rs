@@ -20,7 +20,7 @@
 //! [`LifetimeReport`], so the sweep, service, and fleet layers consume
 //! banked runs without change.
 
-use crate::sweep::calibration_for;
+use crate::sweep::{build_cell, calibration_for};
 use crate::{
     build_scheme_spec, pool, run_attack, Calibration, LifetimeReport, SchemeSpec, SimLimits,
 };
@@ -159,7 +159,9 @@ fn run_banked_on(
 /// results in bank order. Bit-identical for any worker count. Each bank
 /// builds the workload against its own geometry and derived seed, so
 /// banks stay decorrelated (a trace replay starts each bank at its own
-/// seed-rotated offset).
+/// seed-rotated offset). A PARSEC workload needs each *bank* large
+/// enough for the benchmark's locality ratio (≳1024 pages per bank, see
+/// [`twl_workloads::ParsecBenchmark::workload`]).
 ///
 /// # Panics
 ///
@@ -202,16 +204,9 @@ pub fn run_lifetime_banked_on(
     let calibration = calibration_for(&workload);
     run_banked_on(workers, pcm, &spec, &calibration, |cfg| {
         let mut device = PcmDevice::new(cfg);
-        let mut scheme = build_scheme_spec(&spec, &device)
-            .unwrap_or_else(|e| panic!("cannot build {spec} for a bank: {e}"));
-        let pages = if workload.addresses_scheme_space() {
-            scheme.page_count()
-        } else {
-            cfg.pages
-        };
-        let mut stream = workload
-            .build(pages, cfg.seed)
-            .unwrap_or_else(|e| panic!("cannot build workload for a bank: {e}"));
+        let scheme = build_scheme_spec(&spec, &device);
+        let (mut scheme, mut stream) =
+            build_cell(&spec, scheme, &workload, cfg.pages, cfg.seed, "a bank");
         let report = run_attack(
             scheme.as_mut(),
             &mut device,
@@ -226,72 +221,6 @@ pub fn run_lifetime_banked_on(
             wear: device.wear_counters().to_vec(),
         }
     })
-}
-
-/// [`run_lifetime_banked`] with the workload axis spelled as an attack
-/// (kept for callers that predate [`WorkloadSpec`]).
-///
-/// # Panics
-///
-/// As [`run_lifetime_banked`].
-#[must_use]
-pub fn run_attack_banked(
-    pcm: &PcmConfig,
-    spec: impl Into<SchemeSpec>,
-    attack: impl Into<WorkloadSpec>,
-    limits: &SimLimits,
-) -> BankedLifetimeReport {
-    run_lifetime_banked(pcm, spec, attack, limits)
-}
-
-/// [`run_attack_banked`] with an explicit worker count.
-///
-/// # Panics
-///
-/// As [`run_lifetime_banked`], plus `workers == 0`.
-#[must_use]
-pub fn run_attack_banked_on(
-    workers: usize,
-    pcm: &PcmConfig,
-    spec: impl Into<SchemeSpec>,
-    attack: impl Into<WorkloadSpec>,
-    limits: &SimLimits,
-) -> BankedLifetimeReport {
-    run_lifetime_banked_on(workers, pcm, spec, attack, limits)
-}
-
-/// [`run_lifetime_banked`] with the workload axis spelled as a
-/// benchmark. Each *bank* must be large enough for the benchmark's
-/// locality ratio (≳1024 pages per bank, see
-/// [`twl_workloads::ParsecBenchmark::workload`]).
-///
-/// # Panics
-///
-/// As [`run_lifetime_banked`].
-#[must_use]
-pub fn run_workload_banked(
-    pcm: &PcmConfig,
-    spec: impl Into<SchemeSpec>,
-    bench: impl Into<WorkloadSpec>,
-    limits: &SimLimits,
-) -> BankedLifetimeReport {
-    run_lifetime_banked(pcm, spec, bench, limits)
-}
-
-/// [`run_workload_banked`] with an explicit worker count.
-///
-/// # Panics
-///
-/// As [`run_lifetime_banked`], plus `workers == 0`.
-#[must_use]
-pub fn run_workload_banked_on(
-    workers: usize,
-    pcm: &PcmConfig,
-    spec: impl Into<SchemeSpec>,
-    bench: impl Into<WorkloadSpec>,
-    limits: &SimLimits,
-) -> BankedLifetimeReport {
-    run_lifetime_banked_on(workers, pcm, spec, bench, limits)
 }
 
 #[cfg(test)]
@@ -327,7 +256,8 @@ mod tests {
     fn merged_totals_are_bank_sums() {
         let pcm = config(64, 4);
         let limits = SimLimits::default();
-        let banked = run_attack_banked_on(1, &pcm, SchemeKind::TwlSwp, AttackKind::Repeat, &limits);
+        let banked =
+            run_lifetime_banked_on(1, &pcm, SchemeKind::TwlSwp, AttackKind::Repeat, &limits);
         assert_eq!(banked.banks.len(), 4);
         assert_eq!(
             banked.merged.logical_writes,
@@ -348,6 +278,6 @@ mod tests {
     fn lopsided_split_is_rejected() {
         let pcm = config(64, 3);
         let limits = SimLimits::default();
-        let _ = run_attack_banked_on(1, &pcm, SchemeKind::Nowl, AttackKind::Repeat, &limits);
+        let _ = run_lifetime_banked_on(1, &pcm, SchemeKind::Nowl, AttackKind::Repeat, &limits);
     }
 }

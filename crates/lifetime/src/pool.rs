@@ -1,6 +1,6 @@
 //! The shared bounded worker pool.
 //!
-//! Sweeps ([`crate::attack_matrix`] and friends) and the `twl-service`
+//! Sweeps ([`crate::lifetime_matrix`] and friends) and the `twl-service`
 //! daemon both need "run N independent units of work on a bounded set
 //! of threads". This module is the single place that decides how many
 //! workers that is — so the `TWL_THREADS` override is honored in

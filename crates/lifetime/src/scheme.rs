@@ -603,35 +603,6 @@ impl WearLeveler for Relabeled {
     }
 }
 
-/// Builds a scheme with its paper-default configuration for `device`.
-///
-/// # Errors
-///
-/// Returns a [`SchemeError`] if the device geometry is incompatible
-/// (e.g. a non-power-of-two page count for Security Refresh).
-pub fn build_scheme(
-    kind: SchemeKind,
-    device: &PcmDevice,
-) -> Result<Box<dyn WearLeveler>, SchemeError> {
-    build_scheme_spec(&SchemeSpec::new(kind), device)
-}
-
-/// Builds a scheme with its paper-default configuration over only the
-/// first `pages` slots of `device`. See
-/// [`build_scheme_spec_for_region`].
-///
-/// # Errors
-///
-/// Returns a [`SchemeError`] if the region is empty or oversized, or
-/// the geometry is incompatible with the scheme.
-pub fn build_scheme_for_region(
-    kind: SchemeKind,
-    device: &PcmDevice,
-    pages: u64,
-) -> Result<Box<dyn WearLeveler>, SchemeError> {
-    build_scheme_spec_for_region(&SchemeSpec::new(kind), device, pages)
-}
-
 /// Builds the scheme a spec describes for the whole of `device`.
 ///
 /// # Errors
@@ -781,7 +752,7 @@ mod tests {
     fn every_kind_builds_on_default_device() {
         let device = device(256);
         for kind in SchemeKind::ALL {
-            let scheme = build_scheme(kind, &device).unwrap();
+            let scheme = build_scheme_spec(&kind.into(), &device).unwrap();
             assert_eq!(scheme.name(), kind.label(), "kind {kind}");
         }
     }
@@ -795,7 +766,7 @@ mod tests {
             .unwrap();
         let device = PcmDevice::new(&pcm);
         assert!(matches!(
-            build_scheme(SchemeKind::Sr, &device),
+            build_scheme_spec(&SchemeKind::Sr.into(), &device),
             Err(SchemeError::Geometry { .. })
         ));
     }
@@ -804,14 +775,14 @@ mod tests {
     fn bad_regions_are_typed_errors_not_panics() {
         let device = device(256);
         assert_eq!(
-            build_scheme_for_region(SchemeKind::Nowl, &device, 0).err(),
+            build_scheme_spec_for_region(&SchemeKind::Nowl.into(), &device, 0).err(),
             Some(SchemeError::InvalidRegion {
                 pages: 0,
                 device_pages: 256
             }),
         );
         assert!(matches!(
-            build_scheme_for_region(SchemeKind::Nowl, &device, 257),
+            build_scheme_spec_for_region(&SchemeKind::Nowl.into(), &device, 257),
             Err(SchemeError::InvalidRegion { .. })
         ));
     }
@@ -829,12 +800,12 @@ mod tests {
             .unwrap();
         let device = PcmDevice::new(&pcm);
         for kind in [SchemeKind::Sr, SchemeKind::TwlSwp, SchemeKind::Nowl] {
-            let scheme = build_scheme_for_region(kind, &device, 256).unwrap();
+            let scheme = build_scheme_spec_for_region(&kind.into(), &device, 256).unwrap();
             assert_eq!(scheme.page_count(), 256, "kind {kind}");
         }
         // SR rejects the non-power-of-two full device but accepts the
         // power-of-two region.
-        assert!(build_scheme(SchemeKind::Sr, &device).is_err());
+        assert!(build_scheme_spec(&SchemeKind::Sr.into(), &device).is_err());
     }
 
     #[test]
@@ -929,7 +900,7 @@ mod tests {
         let device = device(64);
         let spec: SchemeSpec = "TWL_swp[ti=32]".parse().unwrap();
         let mut a = build_scheme_spec(&spec, &device).unwrap();
-        let mut b = build_scheme(SchemeKind::TwlSwp, &device).unwrap();
+        let mut b = build_scheme_spec(&SchemeKind::TwlSwp.into(), &device).unwrap();
         let mut da = PcmDevice::new(device.config());
         let mut db = PcmDevice::new(device.config());
         for i in 0..5_000u64 {

@@ -4,16 +4,18 @@
 //! generic `Regime` (so each compiles to its own loop, with no per-write
 //! dynamic dispatch):
 //!
-//! * **Fail-stop** ([`run_attack`], [`run_workload`]) — the DAC'17
-//!   methodology: the run ends at the first
-//!   [`PcmError::PageWornOut`], producing a single-failure-point
-//!   [`LifetimeReport`].
-//! * **Graceful degradation** ([`run_degradation_attack`],
-//!   [`run_degradation_workload`]) — the device runs under
-//!   `twl-faults`: wear-out manifests as cell faults absorbed by the
-//!   correction budget, uncorrectable pages retire to spares, and the
-//!   run ends at spare-pool exhaustion, producing a full
-//!   [`DegradationReport`] curve.
+//! * **Fail-stop** ([`run_attack`]) — the DAC'17 methodology: the run
+//!   ends at the first [`PcmError::PageWornOut`], producing a
+//!   single-failure-point [`LifetimeReport`].
+//! * **Graceful degradation** ([`run_degradation_attack`]) — the device
+//!   runs under `twl-faults`: wear-out manifests as cell faults
+//!   absorbed by the correction budget, uncorrectable pages retire to
+//!   spares, and the run ends at spare-pool exhaustion, producing a
+//!   full [`DegradationReport`] curve.
+//!
+//! Both take any [`AttackStream`]: an attack, or the
+//! `twl_workloads::BuiltWorkload` a `WorkloadSpec` builds for a PARSEC
+//! generator or a captured trace.
 //!
 //! The per-write reference oracles (the `*_unbatched` functions) are
 //! the same loop driven through two scalar adapters: a scheme wrapper
@@ -30,7 +32,6 @@ use twl_faults::{EventHorizon, FaultDomain, FaultEngine};
 use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
 use twl_telemetry::{AggregateSpan, SchemeSummary, SpanGuard, TelemetryRecord, WearMapSampler};
 use twl_wl_core::{AttackMonitor, BatchOutcome, ReadOutcome, WearLeveler, WlStats, WriteOutcome};
-use twl_workloads::SyntheticWorkload;
 
 /// Safety limits for a lifetime run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,48 +100,6 @@ pub fn run_attack_unbatched(
     )
 }
 
-/// Drives a synthetic workload's write stream against `scheme` until a
-/// page wears out.
-///
-/// The workload must generate addresses within `scheme.page_count()`.
-pub fn run_workload(
-    scheme: &mut dyn WearLeveler,
-    device: &mut PcmDevice,
-    workload: &mut SyntheticWorkload,
-    workload_name: &str,
-    limits: &SimLimits,
-    calibration: &Calibration,
-) -> LifetimeReport {
-    drive(
-        scheme,
-        device,
-        &mut WorkloadStream(workload, workload_name),
-        limits,
-        FailStop::new(calibration),
-        "drive",
-    )
-}
-
-/// The per-write reference loop behind [`run_workload`] — same
-/// semantics, no batching.
-pub fn run_workload_unbatched(
-    scheme: &mut dyn WearLeveler,
-    device: &mut PcmDevice,
-    workload: &mut SyntheticWorkload,
-    workload_name: &str,
-    limits: &SimLimits,
-    calibration: &Calibration,
-) -> LifetimeReport {
-    drive(
-        &mut ScalarScheme(scheme),
-        device,
-        &mut ScalarStream(&mut WorkloadStream(workload, workload_name)),
-        limits,
-        FailStop::new(calibration),
-        "drive_unbatched",
-    )
-}
-
 /// Drives `attack` against `scheme` on a fault-tolerant [`FaultDomain`]
 /// until the spare pool is exhausted (or the write budget runs out),
 /// recording the degradation curve.
@@ -173,51 +132,6 @@ pub fn run_degradation_attack_unbatched(
         &mut ScalarScheme(scheme),
         device,
         &mut ScalarStream(attack),
-        limits,
-        regime,
-        "drive_degraded_unbatched",
-    )
-}
-
-/// Drives a synthetic workload against `scheme` on a fault-tolerant
-/// [`FaultDomain`] until the spare pool is exhausted (or the write
-/// budget runs out), recording the degradation curve.
-///
-/// The workload must generate addresses within `domain.data_pages`.
-pub fn run_degradation_workload(
-    scheme: &mut dyn WearLeveler,
-    domain: &mut FaultDomain,
-    workload: &mut SyntheticWorkload,
-    workload_name: &str,
-    limits: &SimLimits,
-    calibration: &Calibration,
-) -> DegradationReport {
-    let (device, regime) = Degradation::new(domain, calibration, scheme.name());
-    drive(
-        scheme,
-        device,
-        &mut WorkloadStream(workload, workload_name),
-        limits,
-        regime,
-        "drive_degraded",
-    )
-}
-
-/// The per-write reference loop behind [`run_degradation_workload`] —
-/// same semantics, no batching.
-pub fn run_degradation_workload_unbatched(
-    scheme: &mut dyn WearLeveler,
-    domain: &mut FaultDomain,
-    workload: &mut SyntheticWorkload,
-    workload_name: &str,
-    limits: &SimLimits,
-    calibration: &Calibration,
-) -> DegradationReport {
-    let (device, regime) = Degradation::new(domain, calibration, scheme.name());
-    drive(
-        &mut ScalarScheme(scheme),
-        device,
-        &mut ScalarStream(&mut WorkloadStream(workload, workload_name)),
         limits,
         regime,
         "drive_degraded_unbatched",
@@ -652,22 +566,6 @@ impl<A: AttackStream + ?Sized> AttackStream for ScalarStream<'_, A> {
     }
 }
 
-/// A named synthetic workload as a write stream. It ignores feedback
-/// (reads are skipped — they neither wear the device nor influence
-/// wear-leveling state), and its addresses vary per write, so it keeps
-/// the default runs of 1.
-struct WorkloadStream<'a>(&'a mut SyntheticWorkload, &'a str);
-
-impl AttackStream for WorkloadStream<'_> {
-    fn name(&self) -> &str {
-        self.1
-    }
-
-    fn next_write(&mut self, _feedback: Option<&WriteOutcome>) -> LogicalPageAddr {
-        self.0.next_write_la()
-    }
-}
-
 /// Number of wear-map snapshots a full lifetime run aims for.
 const WEAR_SNAPSHOTS_PER_RUN: u64 = 32;
 
@@ -747,11 +645,11 @@ impl<'a> RunTelemetry<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_scheme, build_scheme_for_region, SchemeKind};
+    use crate::{build_scheme_spec, build_scheme_spec_for_region, SchemeKind};
     use twl_attacks::{Attack, AttackKind};
     use twl_faults::{provision, FaultConfig};
     use twl_pcm::PcmConfig;
-    use twl_workloads::ParsecBenchmark;
+    use twl_workloads::{ParsecBenchmark, WorkloadSpec};
 
     fn device(pages: u64, endurance: u64) -> PcmDevice {
         let pcm = PcmConfig::builder()
@@ -766,7 +664,7 @@ mod tests {
     #[test]
     fn nowl_under_repeat_dies_after_one_page() {
         let mut dev = device(256, 1_000);
-        let mut scheme = build_scheme(SchemeKind::Nowl, &dev).unwrap();
+        let mut scheme = build_scheme_spec(&SchemeKind::Nowl.into(), &dev).unwrap();
         let mut attack = Attack::new(AttackKind::Repeat, 256, 0);
         let report = run_attack(
             scheme.as_mut(),
@@ -790,7 +688,7 @@ mod tests {
     fn twl_outlives_nowl_under_every_attack() {
         for kind in AttackKind::ALL {
             let mut dev_a = device(128, 2_000);
-            let mut nowl = build_scheme(SchemeKind::Nowl, &dev_a).unwrap();
+            let mut nowl = build_scheme_spec(&SchemeKind::Nowl.into(), &dev_a).unwrap();
             let mut attack = Attack::new(kind, 128, 1);
             let nowl_report = run_attack(
                 nowl.as_mut(),
@@ -801,7 +699,7 @@ mod tests {
             );
 
             let mut dev_b = device(128, 2_000);
-            let mut twl = build_scheme(SchemeKind::TwlSwp, &dev_b).unwrap();
+            let mut twl = build_scheme_spec(&SchemeKind::TwlSwp.into(), &dev_b).unwrap();
             let mut attack = Attack::new(kind, 128, 1);
             let twl_report = run_attack(
                 twl.as_mut(),
@@ -822,7 +720,7 @@ mod tests {
     #[test]
     fn limits_truncate_and_flag_incomplete() {
         let mut dev = device(128, 1_000_000);
-        let mut scheme = build_scheme(SchemeKind::TwlSwp, &dev).unwrap();
+        let mut scheme = build_scheme_spec(&SchemeKind::TwlSwp.into(), &dev).unwrap();
         let mut attack = Attack::new(AttackKind::Random, 128, 2);
         let limits = SimLimits {
             max_logical_writes: 5_000,
@@ -841,14 +739,13 @@ mod tests {
     #[test]
     fn workload_run_reports_benchmark_name() {
         let mut dev = device(256, 2_000);
-        let mut scheme = build_scheme(SchemeKind::Nowl, &dev).unwrap();
+        let mut scheme = build_scheme_spec(&SchemeKind::Nowl.into(), &dev).unwrap();
         let bench = ParsecBenchmark::Canneal;
-        let mut workload = bench.workload(256, 3);
-        let report = run_workload(
+        let mut workload = WorkloadSpec::from(bench).build(256, 3).unwrap();
+        let report = run_attack(
             scheme.as_mut(),
             &mut dev,
             &mut workload,
-            bench.name(),
             &SimLimits::default(),
             &Calibration::for_bandwidth_mbps(bench.write_bandwidth_mbps()),
         );
@@ -881,7 +778,7 @@ mod tests {
     fn degradation_run_outlives_failstop_and_builds_a_curve() {
         // Fail-stop NOWL under repeat dies at the weakest page.
         let mut dev = device(128, 1_000);
-        let mut scheme = build_scheme(SchemeKind::Nowl, &dev).unwrap();
+        let mut scheme = build_scheme_spec(&SchemeKind::Nowl.into(), &dev).unwrap();
         let mut attack = Attack::new(AttackKind::Repeat, 128, 0);
         let failstop = run_attack(
             scheme.as_mut(),
@@ -894,7 +791,8 @@ mod tests {
         // The same scheme with fault tolerance keeps going through the
         // correction budget and every spare.
         let mut domain = degradation_domain(128, 1_000);
-        let mut scheme = build_scheme_for_region(SchemeKind::Nowl, &domain.device, 128).unwrap();
+        let mut scheme =
+            build_scheme_spec_for_region(&SchemeKind::Nowl.into(), &domain.device, 128).unwrap();
         let mut attack = Attack::new(AttackKind::Repeat, 128, 0);
         let report = run_degradation_attack(
             scheme.as_mut(),
@@ -928,7 +826,8 @@ mod tests {
     #[test]
     fn degradation_write_budget_flags_lower_bound() {
         let mut domain = degradation_domain(128, 100_000);
-        let mut scheme = build_scheme_for_region(SchemeKind::TwlSwp, &domain.device, 128).unwrap();
+        let mut scheme =
+            build_scheme_spec_for_region(&SchemeKind::TwlSwp.into(), &domain.device, 128).unwrap();
         let mut attack = Attack::new(AttackKind::Random, 128, 2);
         let limits = SimLimits {
             max_logical_writes: 2_000,

@@ -1,5 +1,6 @@
-//! Experiment matrices: run scheme × attack / scheme × workload grids
-//! in one call.
+//! Experiment matrices: run scheme × workload grids in one call. The
+//! workload axis is a [`WorkloadSpec`], so attacks (Fig. 6), PARSEC
+//! generators (Fig. 8) and captured traces are all just coordinates.
 //!
 //! The figure-regenerating binaries in `twl-bench` are thin wrappers
 //! over these helpers; library users get the same sweeps as data.
@@ -8,20 +9,21 @@
 //! builds its own fresh device (and scheme, and attack) from the shared
 //! [`PcmConfig`], so a cell's report is a pure function of the config
 //! and the cell coordinates. The single-cell entry points
-//! ([`run_attack_cell`], [`run_workload_cell`], [`run_degradation_cell`])
-//! expose exactly the computation one matrix slot performs — that is
-//! what makes matrix jobs resumable in `twl-service`: a checkpoint
-//! stores completed cells, and a resumed run re-executes only the
-//! missing ones, with results bit-identical to an uninterrupted sweep.
+//! ([`run_lifetime_cell`], [`run_degradation_cell`]) expose exactly the
+//! computation one matrix slot performs — that is what makes matrix
+//! jobs resumable in `twl-service`: a checkpoint stores completed
+//! cells, and a resumed run re-executes only the missing ones, with
+//! results bit-identical to an uninterrupted sweep.
 
 use crate::pool::run_cells;
 use crate::{
     build_scheme_spec, build_scheme_spec_for_region, run_attack, run_degradation_attack,
-    Calibration, DegradationReport, LifetimeReport, SchemeSpec, SimLimits,
+    Calibration, DegradationReport, LifetimeReport, SchemeError, SchemeSpec, SimLimits,
 };
 use twl_faults::{provision, FaultConfig};
 use twl_pcm::{PcmConfig, PcmDevice};
-use twl_workloads::WorkloadSpec;
+use twl_wl_core::WearLeveler;
+use twl_workloads::{BuiltWorkload, WorkloadSpec};
 
 /// The calibration a workload spec pins: a PARSEC generator (or a trace
 /// with a `bw=` override) carries its own write bandwidth; attacks use
@@ -31,6 +33,35 @@ pub(crate) fn calibration_for(workload: &WorkloadSpec) -> Calibration {
         Some(bw) => Calibration::for_bandwidth_mbps(bw),
         None => Calibration::attack_8gbps(),
     }
+}
+
+/// Unwraps a cell's scheme and builds its write stream over the page
+/// space `workload` addresses: the scheme's logical space for attacks
+/// and traces, the raw `device_pages` for the PARSEC generators.
+/// `target` names the device in the panic messages.
+///
+/// # Panics
+///
+/// Panics if the scheme could not be built or the workload cannot be
+/// built for the chosen page space.
+pub(crate) fn build_cell(
+    spec: &SchemeSpec,
+    scheme: Result<Box<dyn WearLeveler>, SchemeError>,
+    workload: &WorkloadSpec,
+    device_pages: u64,
+    seed: u64,
+    target: &str,
+) -> (Box<dyn WearLeveler>, BuiltWorkload) {
+    let scheme = scheme.unwrap_or_else(|e| panic!("cannot build {spec} for {target}: {e}"));
+    let pages = if workload.addresses_scheme_space() {
+        scheme.page_count()
+    } else {
+        device_pages
+    };
+    let stream = workload
+        .build(pages, seed)
+        .unwrap_or_else(|e| panic!("cannot build workload for {target}: {e}"));
+    (scheme, stream)
 }
 
 /// Runs one cell of a [`lifetime_matrix`]: the scheme `spec` describes
@@ -61,16 +92,9 @@ pub fn run_lifetime_cell(
     let calibration = calibration_for(&workload);
     let build_span = twl_telemetry::span!("cell.build", spec.to_string());
     let mut device = PcmDevice::new(pcm);
-    let mut scheme = build_scheme_spec(&spec, &device)
-        .unwrap_or_else(|e| panic!("cannot build {spec} for this device: {e}"));
-    let pages = if workload.addresses_scheme_space() {
-        scheme.page_count()
-    } else {
-        pcm.pages
-    };
-    let mut stream = workload
-        .build(pages, pcm.seed)
-        .unwrap_or_else(|e| panic!("cannot build workload for this device: {e}"));
+    let scheme = build_scheme_spec(&spec, &device);
+    let (mut scheme, mut stream) =
+        build_cell(&spec, scheme, &workload, pcm.pages, pcm.seed, "this device");
     drop(build_span);
     run_attack(
         scheme.as_mut(),
@@ -79,40 +103,6 @@ pub fn run_lifetime_cell(
         limits,
         &calibration,
     )
-}
-
-/// Runs one cell of an [`attack_matrix`]: [`run_lifetime_cell`] with
-/// the attack axis spelled as an [`twl_attacks::AttackKind`] (or any attack-family
-/// workload spec).
-///
-/// # Panics
-///
-/// Panics if the scheme or workload cannot be built for the device.
-#[must_use]
-pub fn run_attack_cell(
-    pcm: &PcmConfig,
-    spec: impl Into<SchemeSpec>,
-    attack: impl Into<WorkloadSpec>,
-    limits: &SimLimits,
-) -> LifetimeReport {
-    run_lifetime_cell(pcm, spec, attack, limits)
-}
-
-/// Runs one cell of a [`workload_matrix`]: [`run_lifetime_cell`] with
-/// the workload axis spelled as a [`twl_workloads::ParsecBenchmark`] (or any workload
-/// spec).
-///
-/// # Panics
-///
-/// Panics if the scheme or workload cannot be built for the device.
-#[must_use]
-pub fn run_workload_cell(
-    pcm: &PcmConfig,
-    spec: impl Into<SchemeSpec>,
-    bench: impl Into<WorkloadSpec>,
-    limits: &SimLimits,
-) -> LifetimeReport {
-    run_lifetime_cell(pcm, spec, bench, limits)
 }
 
 /// Runs one cell of a [`degradation_matrix`]: `scheme` under
@@ -140,16 +130,15 @@ pub fn run_degradation_cell(
     let build_span = twl_telemetry::span!("cell.build", spec.to_string());
     let mut domain =
         provision(pcm, fault_cfg).unwrap_or_else(|e| panic!("cannot provision domain: {e}"));
-    let mut scheme = build_scheme_spec_for_region(&spec, &domain.device, domain.data_pages)
-        .unwrap_or_else(|e| panic!("cannot build {spec} for this device: {e}"));
-    let pages = if workload.addresses_scheme_space() {
-        scheme.page_count()
-    } else {
-        domain.data_pages
-    };
-    let mut stream = workload
-        .build(pages, pcm.seed)
-        .unwrap_or_else(|e| panic!("cannot build workload for this device: {e}"));
+    let scheme = build_scheme_spec_for_region(&spec, &domain.device, domain.data_pages);
+    let (mut scheme, mut stream) = build_cell(
+        &spec,
+        scheme,
+        &workload,
+        domain.data_pages,
+        pcm.seed,
+        "this device",
+    );
     drop(build_span);
     run_degradation_attack(
         scheme.as_mut(),
@@ -160,28 +149,31 @@ pub fn run_degradation_cell(
     )
 }
 
-/// Runs every scheme in `schemes` against every attack in `attacks` on
-/// a fresh device drawn from `pcm`, returning reports in
-/// `schemes`-major order (Fig. 6's grid).
+/// Runs every scheme in `schemes` against every workload in
+/// `workloads` on a fresh device drawn from `pcm`, returning reports
+/// in `schemes`-major order — Fig. 6's scheme × attack grid and
+/// Fig. 8's scheme × benchmark grid alike. Both axes are specs, so
+/// attacks, PARSEC generators (each with its own bandwidth
+/// calibration), and captured traces mix freely as cell coordinates.
 ///
 /// `schemes` may be bare [`crate::SchemeKind`]s (paper defaults) or
 /// full [`SchemeSpec`]s — parameter studies are just another matrix.
 ///
 /// # Panics
 ///
-/// Panics if a scheme cannot be built for the device geometry (e.g.
+/// Panics if a scheme or workload cannot be built for the device (e.g.
 /// Security Refresh on a non-power-of-two page count).
 ///
 /// # Examples
 ///
 /// ```
-/// use twl_lifetime::{attack_matrix, SchemeKind, SimLimits};
+/// use twl_lifetime::{lifetime_matrix, SchemeKind, SimLimits};
 /// use twl_attacks::AttackKind;
 /// use twl_pcm::PcmConfig;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let pcm = PcmConfig::builder().pages(128).mean_endurance(2_000).seed(1).build()?;
-/// let reports = attack_matrix(
+/// let reports = lifetime_matrix(
 ///     &pcm,
 ///     &[SchemeKind::Nowl, SchemeKind::TwlSwp],
 ///     &[AttackKind::Repeat],
@@ -192,30 +184,6 @@ pub fn run_degradation_cell(
 /// # Ok(())
 /// # }
 /// ```
-#[must_use]
-pub fn attack_matrix<S, W>(
-    pcm: &PcmConfig,
-    schemes: &[S],
-    attacks: &[W],
-    limits: &SimLimits,
-) -> Vec<LifetimeReport>
-where
-    S: Clone + Into<SchemeSpec>,
-    W: Clone + Into<WorkloadSpec>,
-{
-    lifetime_matrix(pcm, schemes, attacks, limits)
-}
-
-/// Runs every scheme in `schemes` against every workload in
-/// `workloads` on a fresh device drawn from `pcm`, returning reports
-/// in `schemes`-major order. The unified grid underneath
-/// [`attack_matrix`] and [`workload_matrix`]: both axes are specs, so
-/// attacks, PARSEC generators, and captured traces mix freely as cell
-/// coordinates.
-///
-/// # Panics
-///
-/// Panics if a scheme or workload cannot be built for the device.
 #[must_use]
 pub fn lifetime_matrix<S, W>(
     pcm: &PcmConfig,
@@ -272,27 +240,6 @@ where
     })
 }
 
-/// Runs every scheme against every PARSEC benchmark workload, each with
-/// its own bandwidth calibration (Fig. 8's grid), in `schemes`-major
-/// order.
-///
-/// # Panics
-///
-/// Panics if a scheme cannot be built for the device geometry.
-#[must_use]
-pub fn workload_matrix<S, W>(
-    pcm: &PcmConfig,
-    schemes: &[S],
-    benchmarks: &[W],
-    limits: &SimLimits,
-) -> Vec<LifetimeReport>
-where
-    S: Clone + Into<SchemeSpec>,
-    W: Clone + Into<WorkloadSpec>,
-{
-    lifetime_matrix(pcm, schemes, benchmarks, limits)
-}
-
 /// Geometric mean of the reports' lifetimes in years (the paper's
 /// `Gmean` column), treating non-positive entries as a tiny epsilon.
 #[must_use]
@@ -322,7 +269,7 @@ mod tests {
 
     #[test]
     fn attack_matrix_shape_and_order() {
-        let reports = attack_matrix(
+        let reports = lifetime_matrix(
             &pcm(),
             &[SchemeKind::Nowl, SchemeKind::TwlSwp],
             &[AttackKind::Repeat, AttackKind::Scan],
@@ -339,7 +286,7 @@ mod tests {
     fn single_cells_equal_their_matrix_slots() {
         let pcm = pcm();
         let limits = SimLimits::default();
-        let matrix = attack_matrix(
+        let matrix = lifetime_matrix(
             &pcm,
             &[SchemeKind::Nowl, SchemeKind::TwlSwp],
             &[AttackKind::Repeat, AttackKind::Scan],
@@ -348,18 +295,18 @@ mod tests {
         // Re-running any one cell in isolation is bit-identical to the
         // matrix slot — the contract checkpoint/resume relies on.
         assert_eq!(
-            run_attack_cell(&pcm, SchemeKind::TwlSwp, AttackKind::Scan, &limits),
+            run_lifetime_cell(&pcm, SchemeKind::TwlSwp, AttackKind::Scan, &limits),
             matrix[3]
         );
         assert_eq!(
-            run_attack_cell(&pcm, SchemeKind::Nowl, AttackKind::Repeat, &limits),
+            run_lifetime_cell(&pcm, SchemeKind::Nowl, AttackKind::Repeat, &limits),
             matrix[0]
         );
     }
 
     #[test]
     fn workload_matrix_uses_per_benchmark_calibration() {
-        let reports = workload_matrix(
+        let reports = lifetime_matrix(
             &pcm(),
             &[SchemeKind::Nowl],
             &[ParsecBenchmark::Vips, ParsecBenchmark::Streamcluster],
@@ -412,7 +359,7 @@ mod tests {
 
     #[test]
     fn gmean_handles_zeroes() {
-        let reports = attack_matrix(
+        let reports = lifetime_matrix(
             &pcm(),
             &[SchemeKind::Nowl],
             &[AttackKind::Repeat],

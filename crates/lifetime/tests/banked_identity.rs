@@ -4,9 +4,7 @@
 //! on the config, never on scheduling.
 
 use twl_attacks::AttackKind;
-use twl_lifetime::{
-    run_attack_banked_on, run_lifetime_banked_on, run_workload_banked_on, SchemeKind, SimLimits,
-};
+use twl_lifetime::{run_lifetime_banked_on, SchemeKind, SimLimits};
 use twl_pcm::PcmConfig;
 use twl_workloads::ParsecBenchmark;
 
@@ -37,9 +35,9 @@ fn parallel_attack_runs_match_serial_bit_for_bit() {
         SchemeKind::TwlSwp,
         SchemeKind::TwlAp,
     ] {
-        let serial = run_attack_banked_on(1, &pcm, kind, AttackKind::Repeat, &limits);
+        let serial = run_lifetime_banked_on(1, &pcm, kind, AttackKind::Repeat, &limits);
         for workers in [2, 4, 8] {
-            let parallel = run_attack_banked_on(workers, &pcm, kind, AttackKind::Repeat, &limits);
+            let parallel = run_lifetime_banked_on(workers, &pcm, kind, AttackKind::Repeat, &limits);
             assert_eq!(serial, parallel, "{kind:?} diverged at {workers} workers");
         }
     }
@@ -51,8 +49,8 @@ fn parallel_attack_runs_match_serial_bit_for_bit() {
 fn parallel_feedback_attack_matches_serial() {
     let pcm = config(128, 2);
     let limits = SimLimits::default();
-    let serial = run_attack_banked_on(1, &pcm, SchemeKind::TwlSwp, AttackKind::Random, &limits);
-    let parallel = run_attack_banked_on(4, &pcm, SchemeKind::TwlSwp, AttackKind::Random, &limits);
+    let serial = run_lifetime_banked_on(1, &pcm, SchemeKind::TwlSwp, AttackKind::Random, &limits);
+    let parallel = run_lifetime_banked_on(4, &pcm, SchemeKind::TwlSwp, AttackKind::Random, &limits);
     assert_eq!(serial, parallel);
 }
 
@@ -63,8 +61,8 @@ fn parallel_workload_runs_match_serial_bit_for_bit() {
     let pcm = config(2048, 2);
     let limits = SimLimits::default();
     for bench in [ParsecBenchmark::Canneal, ParsecBenchmark::Vips] {
-        let serial = run_workload_banked_on(1, &pcm, SchemeKind::TwlSwp, bench, &limits);
-        let parallel = run_workload_banked_on(4, &pcm, SchemeKind::TwlSwp, bench, &limits);
+        let serial = run_lifetime_banked_on(1, &pcm, SchemeKind::TwlSwp, bench, &limits);
+        let parallel = run_lifetime_banked_on(4, &pcm, SchemeKind::TwlSwp, bench, &limits);
         assert_eq!(serial, parallel, "{bench:?} diverged");
     }
 }
@@ -75,14 +73,14 @@ fn parallel_workload_runs_match_serial_bit_for_bit() {
 #[test]
 fn bank_count_is_part_of_the_experiment() {
     let limits = SimLimits::default();
-    let two = run_attack_banked_on(
+    let two = run_lifetime_banked_on(
         1,
         &config(128, 2),
         SchemeKind::Bwl,
         AttackKind::Repeat,
         &limits,
     );
-    let four = run_attack_banked_on(
+    let four = run_lifetime_banked_on(
         1,
         &config(128, 4),
         SchemeKind::Bwl,
@@ -91,7 +89,7 @@ fn bank_count_is_part_of_the_experiment() {
     );
     assert_eq!(two.banks.len(), 2);
     assert_eq!(four.banks.len(), 4);
-    let again = run_attack_banked_on(
+    let again = run_lifetime_banked_on(
         3,
         &config(128, 4),
         SchemeKind::Bwl,

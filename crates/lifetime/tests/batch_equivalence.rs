@@ -3,10 +3,10 @@
 //! report and a device wear map bit-identical to the per-write
 //! reference loop.
 
-use twl_attacks::{Attack, AttackKind};
+use twl_attacks::{Attack, AttackKind, AttackStream};
 use twl_lifetime::{
-    build_scheme_spec, run_attack, run_attack_unbatched, run_workload, run_workload_unbatched,
-    Calibration, LifetimeReport, SchemeKind, SchemeSpec, SimLimits,
+    build_scheme_spec, run_attack, run_attack_unbatched, Calibration, LifetimeReport, SchemeKind,
+    SchemeSpec, SimLimits,
 };
 use twl_pcm::{LogicalPageAddr, PcmConfig, PcmDevice};
 use twl_workloads::{write_trace, MemCmd, ParsecBenchmark, WorkloadSpec};
@@ -143,24 +143,24 @@ fn batched_workload_runs_are_bit_identical_too() {
             let mut device = PcmDevice::new(&pcm);
             let mut scheme =
                 build_scheme_spec(&SchemeSpec::new(kind), &device).expect("scheme builds");
-            let mut workload = bench.workload(scheme.page_count(), 5);
+            let mut workload = WorkloadSpec::from(bench)
+                .build(scheme.page_count(), 5)
+                .expect("workload builds");
             let limits = SimLimits::default();
             let calibration = Calibration::for_bandwidth_mbps(bench.write_bandwidth_mbps());
             let report = if batched {
-                run_workload(
+                run_attack(
                     scheme.as_mut(),
                     &mut device,
                     &mut workload,
-                    bench.name(),
                     &limits,
                     &calibration,
                 )
             } else {
-                run_workload_unbatched(
+                run_attack_unbatched(
                     scheme.as_mut(),
                     &mut device,
                     &mut workload,
-                    bench.name(),
                     &limits,
                     &calibration,
                 )
@@ -274,17 +274,24 @@ fn per_write_oracles_only_use_the_scalar_paths() {
         for scalar_only in [true, false] {
             let mut device = PcmDevice::new(&pcm);
             let scheme = build_scheme_spec(&SchemeSpec::new(kind), &device).expect("scheme builds");
-            let mut workload = bench.workload(scheme.page_count(), 1);
-            let mut scheme: Box<dyn twl_wl_core::WearLeveler> = if scalar_only {
-                Box::new(scalar_only::ScalarOnlyScheme(scheme))
+            let workload = WorkloadSpec::from(bench)
+                .build(scheme.page_count(), 1)
+                .expect("workload builds");
+            let (mut scheme, mut workload): (
+                Box<dyn twl_wl_core::WearLeveler>,
+                Box<dyn AttackStream>,
+            ) = if scalar_only {
+                (
+                    Box::new(scalar_only::ScalarOnlyScheme(scheme)),
+                    Box::new(scalar_only::ScalarOnlyStream(workload)),
+                )
             } else {
-                scheme
+                (scheme, Box::new(workload))
             };
-            let report = run_workload_unbatched(
+            let report = run_attack_unbatched(
                 scheme.as_mut(),
                 &mut device,
-                &mut workload,
-                bench.name(),
+                workload.as_mut(),
                 &limits,
                 &calibration,
             );

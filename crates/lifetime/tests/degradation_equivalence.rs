@@ -5,15 +5,14 @@
 //! the per-write reference loop that absorbs faults after every single
 //! logical write.
 
-use twl_attacks::{Attack, AttackKind};
+use twl_attacks::{Attack, AttackKind, AttackStream};
 use twl_faults::{CorrectionPolicy, FaultConfig};
 use twl_lifetime::{
     build_scheme_spec_for_region, run_degradation_attack, run_degradation_attack_unbatched,
-    run_degradation_workload, run_degradation_workload_unbatched, Calibration, DegradationEnd,
-    DegradationReport, SchemeKind, SchemeSpec, SimLimits,
+    Calibration, DegradationEnd, DegradationReport, SchemeKind, SchemeSpec, SimLimits,
 };
 use twl_pcm::PcmConfig;
-use twl_workloads::ParsecBenchmark;
+use twl_workloads::{ParsecBenchmark, WorkloadSpec};
 
 /// Every scheme the factory can build (64 pages is a power of two, so
 /// Security Refresh is included).
@@ -134,22 +133,22 @@ fn workload_degradation_is_bit_identical() {
             let spec = SchemeSpec::new(kind);
             let mut scheme = build_scheme_spec_for_region(&spec, &domain.device, domain.data_pages)
                 .expect("scheme builds");
-            let mut workload = ParsecBenchmark::Canneal.workload(scheme.page_count(), 5);
+            let mut workload = WorkloadSpec::from(ParsecBenchmark::Canneal)
+                .build(scheme.page_count(), 5)
+                .expect("workload builds");
             let report = if batched {
-                run_degradation_workload(
+                run_degradation_attack(
                     scheme.as_mut(),
                     &mut domain,
                     &mut workload,
-                    "canneal",
                     &limits,
                     &calibration,
                 )
             } else {
-                run_degradation_workload_unbatched(
+                run_degradation_attack_unbatched(
                     scheme.as_mut(),
                     &mut domain,
                     &mut workload,
-                    "canneal",
                     &limits,
                     &calibration,
                 )
@@ -201,17 +200,24 @@ fn per_write_oracles_only_use_the_scalar_paths() {
             let spec = SchemeSpec::new(kind);
             let scheme = build_scheme_spec_for_region(&spec, &domain.device, domain.data_pages)
                 .expect("scheme builds");
-            let mut workload = ParsecBenchmark::Canneal.workload(scheme.page_count(), 5);
-            let mut scheme: Box<dyn twl_wl_core::WearLeveler> = if scalar_only {
-                Box::new(scalar_only::ScalarOnlyScheme(scheme))
+            let workload = WorkloadSpec::from(ParsecBenchmark::Canneal)
+                .build(scheme.page_count(), 5)
+                .expect("workload builds");
+            let (mut scheme, mut workload): (
+                Box<dyn twl_wl_core::WearLeveler>,
+                Box<dyn AttackStream>,
+            ) = if scalar_only {
+                (
+                    Box::new(scalar_only::ScalarOnlyScheme(scheme)),
+                    Box::new(scalar_only::ScalarOnlyStream(workload)),
+                )
             } else {
-                scheme
+                (scheme, Box::new(workload))
             };
-            let report = run_degradation_workload_unbatched(
+            let report = run_degradation_attack_unbatched(
                 scheme.as_mut(),
                 &mut domain,
-                &mut workload,
-                "canneal",
+                workload.as_mut(),
                 &limits,
                 &calibration,
             );

@@ -139,7 +139,7 @@ pub fn queued_execution(
 /// timing model unchanged.
 ///
 /// The scheme must have been built over the domain's data region (e.g.
-/// via `twl_lifetime::build_scheme_for_region`) so it never addresses
+/// via `twl_lifetime::build_scheme_spec_for_region`) so it never addresses
 /// the spare tail.
 ///
 /// # Errors

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use twl_faults::{CorrectionPolicy, FaultConfig};
 use twl_lifetime::{
     run_degradation_cell, run_lifetime_cell, DegradationEnd, DegradationPoint, DegradationReport,
-    LifetimeReport, SchemeKind, SchemeSpec, SimLimits,
+    LifetimeReport, SchemeSpec, SimLimits,
 };
 use twl_pcm::{PcmConfig, PhysicalPageAddr};
 use twl_telemetry::json::{int, num, str, Json};
@@ -63,16 +63,6 @@ impl JobKind {
             other => Err(format!("unknown job kind `{other}`")),
         }
     }
-}
-
-/// Parses a scheme kind by its paper label (case-insensitive); a thin
-/// alias for [`SchemeKind`]'s `FromStr`.
-///
-/// # Errors
-///
-/// Returns a message listing the valid labels.
-pub fn parse_scheme(label: &str) -> Result<SchemeKind, String> {
-    label.parse()
 }
 
 /// A complete, self-contained description of one job.
@@ -611,6 +601,7 @@ pub(crate) fn req_bool(v: &Json, key: &str) -> Result<bool, String> {
 mod tests {
     use super::*;
     use twl_attacks::AttackKind;
+    use twl_lifetime::SchemeKind;
 
     fn spec() -> JobSpec {
         JobSpec {
@@ -743,8 +734,8 @@ mod tests {
 
     #[test]
     fn label_parsers_reject_unknowns() {
-        assert!(parse_scheme("twl_swp").is_ok());
-        assert!(parse_scheme("bogus").is_err());
+        assert!("twl_swp".parse::<SchemeKind>().is_ok());
+        assert!("bogus".parse::<SchemeKind>().is_err());
         assert!("REPEAT".parse::<WorkloadSpec>().is_ok());
         assert!("bogus".parse::<WorkloadSpec>().is_err());
         assert!("Vips".parse::<WorkloadSpec>().is_ok());

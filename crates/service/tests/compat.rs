@@ -10,7 +10,7 @@ mod common;
 use std::time::Duration;
 
 use twl_attacks::AttackKind;
-use twl_lifetime::{run_attack_cell, SchemeKind, SchemeSpec, SimLimits};
+use twl_lifetime::{run_lifetime_cell, SchemeKind, SchemeSpec, SimLimits};
 use twl_pcm::PcmConfig;
 use twl_service::job::{encode_result, JobKind};
 use twl_service::{
@@ -140,7 +140,7 @@ fn pr9_checkpoint_resumes_through_the_daemon() {
     let mut direct = Vec::new();
     for scheme in &cp.spec.schemes {
         for attack in &cp.spec.attacks {
-            direct.push(run_attack_cell(
+            direct.push(run_lifetime_cell(
                 &cp.spec.pcm,
                 *scheme,
                 attack,
@@ -285,7 +285,7 @@ fn pr4_checkpoint_cells_match_the_refactored_engine() {
     let mut direct = Vec::new();
     for scheme in &cp.spec.schemes {
         for attack in &cp.spec.attacks {
-            direct.push(run_attack_cell(
+            direct.push(run_lifetime_cell(
                 &cp.spec.pcm,
                 *scheme,
                 attack,
@@ -316,7 +316,7 @@ fn pr4_checkpoint_resumes_through_the_daemon() {
     let mut direct = Vec::new();
     for scheme in &cp.spec.schemes {
         for attack in &cp.spec.attacks {
-            direct.push(run_attack_cell(
+            direct.push(run_lifetime_cell(
                 &cp.spec.pcm,
                 *scheme,
                 attack,
@@ -391,7 +391,7 @@ fn parameterized_spec_survives_kill_and_resume_bit_identically() {
     let mut direct = Vec::new();
     for scheme in &spec.schemes {
         for attack in &spec.attacks {
-            direct.push(run_attack_cell(&spec.pcm, *scheme, attack, &spec.limits));
+            direct.push(run_lifetime_cell(&spec.pcm, *scheme, attack, &spec.limits));
         }
     }
     assert_eq!(resumed, direct);

@@ -8,7 +8,7 @@ mod common;
 use std::time::Duration;
 
 use twl_attacks::AttackKind;
-use twl_lifetime::{run_attack_cell, SchemeKind, SimLimits};
+use twl_lifetime::{run_lifetime_cell, SchemeKind, SimLimits};
 use twl_pcm::PcmConfig;
 use twl_service::job::JobKind;
 use twl_service::{decode_result, Client, JobReports, JobSpec, SubmitOutcome};
@@ -30,7 +30,7 @@ fn direct_reports(spec: &JobSpec) -> Vec<twl_lifetime::LifetimeReport> {
     let mut reports = Vec::new();
     for scheme in &spec.schemes {
         for attack in &spec.attacks {
-            reports.push(run_attack_cell(&spec.pcm, *scheme, attack, &spec.limits));
+            reports.push(run_lifetime_cell(&spec.pcm, *scheme, attack, &spec.limits));
         }
     }
     reports

@@ -8,7 +8,7 @@ mod common;
 use std::time::Duration;
 
 use twl_attacks::AttackKind;
-use twl_lifetime::{run_attack_cell, SchemeKind, SimLimits};
+use twl_lifetime::{run_lifetime_cell, SchemeKind, SimLimits};
 use twl_pcm::PcmConfig;
 use twl_service::job::JobKind;
 use twl_service::{
@@ -84,7 +84,7 @@ fn killed_daemon_resumes_bit_identical() {
     let mut direct = Vec::new();
     for scheme in &spec.schemes {
         for attack in &spec.attacks {
-            direct.push(run_attack_cell(&spec.pcm, *scheme, attack, &spec.limits));
+            direct.push(run_lifetime_cell(&spec.pcm, *scheme, attack, &spec.limits));
         }
     }
     assert_eq!(

@@ -35,8 +35,8 @@ use std::fs::File;
 use std::io::BufReader;
 use std::str::FromStr;
 use twl_attacks::{
-    AttackKind, AttackStream, InconsistentAttack, InconsistentConfig, RandomAttack, RepeatAttack,
-    ScanAttack,
+    Attack, AttackKind, AttackStream, InconsistentAttack, InconsistentConfig, RandomAttack,
+    RepeatAttack, ScanAttack,
 };
 use twl_pcm::LogicalPageAddr;
 use twl_telemetry::json::Json;
@@ -546,7 +546,7 @@ impl WorkloadSpec {
                     WorkloadParams::Attack(p) => *p,
                     _ => AttackParams::default(),
                 };
-                match attack {
+                Stream::Attack(match attack {
                     AttackKind::Repeat => {
                         let target = p.target.unwrap_or(0);
                         if target >= pages {
@@ -554,12 +554,12 @@ impl WorkloadSpec {
                                 "repeat target {target} is outside the {pages}-page logical space"
                             )));
                         }
-                        Stream::Repeat(RepeatAttack::new(LogicalPageAddr::new(target)))
+                        Attack::Repeat(RepeatAttack::new(LogicalPageAddr::new(target)))
                     }
                     AttackKind::Random => {
-                        Stream::Random(RandomAttack::new(pages, p.seed.unwrap_or(seed)))
+                        Attack::Random(RandomAttack::new(pages, p.seed.unwrap_or(seed)))
                     }
-                    AttackKind::Scan => Stream::Scan(ScanAttack::new(pages)),
+                    AttackKind::Scan => Attack::Scan(ScanAttack::new(pages)),
                     AttackKind::Inconsistent => {
                         let mut config = InconsistentConfig::for_pages(pages);
                         if let Some(group) = p.group_size {
@@ -586,14 +586,14 @@ impl WorkloadSpec {
                                 config.working_set()
                             )));
                         }
-                        Stream::Inconsistent(InconsistentAttack::new(&config))
+                        Attack::Inconsistent(InconsistentAttack::new(&config))
                     }
                     _ => {
                         unreachable!(
                             "AttackKind is non_exhaustive but these are all current variants"
                         )
                     }
-                }
+                })
             }
             WorkloadKind::Parsec(bench) => {
                 let p = match &self.params {
@@ -786,22 +786,21 @@ impl TraceWorkload {
 /// A built workload: a canonical label plus the concrete stream, driven
 /// by the lifetime simulator through the [`AttackStream`] interface.
 ///
-/// Default-parameter specs wrap the exact streams the pre-spec
-/// factories built (same constructors, same RNG draws), so driving a
-/// `BuiltWorkload` is bit-identical to the legacy attack and workload
-/// paths.
+/// Default-parameter specs wrap the exact streams the kind factories
+/// build (same constructors, same RNG draws), so driving a
+/// `BuiltWorkload` is bit-identical to driving `Attack::new(kind, pages,
+/// seed)` or `bench.workload(pages, seed)` directly.
 #[derive(Debug, Clone)]
 pub struct BuiltWorkload {
     label: String,
     stream: Stream,
 }
 
+/// An attack (built as its `Attack` variant directly, so spec
+/// overrides apply), a PARSEC generator, or a trace replay.
 #[derive(Debug, Clone)]
 enum Stream {
-    Repeat(RepeatAttack),
-    Random(RandomAttack),
-    Scan(ScanAttack),
-    Inconsistent(InconsistentAttack),
+    Attack(Attack),
     Synthetic(SyntheticWorkload),
     Trace(TraceWorkload),
 }
@@ -826,10 +825,7 @@ impl AttackStream for BuiltWorkload {
 
     fn next_write(&mut self, feedback: Option<&WriteOutcome>) -> LogicalPageAddr {
         match &mut self.stream {
-            Stream::Repeat(a) => a.next_write(feedback),
-            Stream::Random(a) => a.next_write(feedback),
-            Stream::Scan(a) => a.next_write(feedback),
-            Stream::Inconsistent(a) => a.next_write(feedback),
+            Stream::Attack(a) => a.next_write(feedback),
             Stream::Synthetic(w) => w.next_write_la(),
             Stream::Trace(t) => t.next_write(),
         }
@@ -837,10 +833,7 @@ impl AttackStream for BuiltWorkload {
 
     fn next_run(&mut self, feedback: Option<&WriteOutcome>, max: u64) -> (LogicalPageAddr, u64) {
         match &mut self.stream {
-            Stream::Repeat(a) => a.next_run(feedback, max),
-            Stream::Random(a) => a.next_run(feedback, max),
-            Stream::Scan(a) => a.next_run(feedback, max),
-            Stream::Inconsistent(a) => a.next_run(feedback, max),
+            Stream::Attack(a) => a.next_run(feedback, max),
             // The synthetic generators ignore feedback and vary their
             // address per write: runs of one.
             Stream::Synthetic(w) => (w.next_write_la(), 1),

@@ -4,7 +4,7 @@
 //! Run: `cargo run --release --example quickstart`
 
 use tossup_wl::attacks::AttackKind;
-use tossup_wl::lifetime::{attack_matrix, gmean_years, Calibration, SchemeKind, SimLimits};
+use tossup_wl::lifetime::{gmean_years, lifetime_matrix, Calibration, SchemeKind, SimLimits};
 use tossup_wl::pcm::{PcmConfig, PcmDevice};
 
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         SchemeKind::Sr,
         SchemeKind::TwlSwp,
     ];
-    let reports = attack_matrix(&pcm, &schemes, &AttackKind::ALL, &SimLimits::default());
+    let reports = lifetime_matrix(&pcm, &schemes, &AttackKind::ALL, &SimLimits::default());
     for (i, kind) in schemes.iter().enumerate() {
         let row = &reports[i * AttackKind::ALL.len()..(i + 1) * AttackKind::ALL.len()];
         println!(

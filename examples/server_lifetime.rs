@@ -7,8 +7,8 @@
 //! Run: `cargo run --release --example server_lifetime [-- <benchmark>]`
 
 use std::env;
-use tossup_wl::lifetime::{build_scheme, run_workload, Calibration, SchemeKind, SimLimits};
-use tossup_wl::pcm::{PcmConfig, PcmDevice};
+use tossup_wl::lifetime::{run_lifetime_cell, Calibration, SchemeKind, SimLimits};
+use tossup_wl::pcm::PcmConfig;
 use tossup_wl::workloads::ParsecBenchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
@@ -40,17 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         let calibration = Calibration::for_bandwidth_mbps(bench.write_bandwidth_mbps());
         let mut years = Vec::new();
         for kind in [SchemeKind::Nowl, SchemeKind::Sr, SchemeKind::TwlSwp] {
-            let mut device = PcmDevice::new(&pcm);
-            let mut scheme = build_scheme(kind, &device)?;
-            let mut workload = bench.workload(pcm.pages, 3);
-            let report = run_workload(
-                scheme.as_mut(),
-                &mut device,
-                &mut workload,
-                bench.name(),
-                &SimLimits::default(),
-                &calibration,
-            );
+            let report = run_lifetime_cell(&pcm, kind, bench, &SimLimits::default());
             years.push(report.years);
         }
         println!(

@@ -10,7 +10,7 @@
 //! Run: `cargo run --release --example wear_map`
 //! Then: `cargo run --release --bin twl-stats -- results/wear_map.trace.jsonl`
 
-use tossup_wl::lifetime::{build_scheme, SchemeKind};
+use tossup_wl::lifetime::{build_scheme_spec, SchemeKind};
 use tossup_wl::pcm::{PcmConfig, PcmDevice, PhysicalPageAddr};
 use tossup_wl::telemetry::{JsonlSink, TelemetryRecord, WearMapSampler};
 use tossup_wl::workloads::{SyntheticWorkload, WorkloadConfig};
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         SchemeKind::TwlSwp,
     ] {
         let mut device = PcmDevice::new(&pcm);
-        let mut scheme = build_scheme(kind, &device)?;
+        let mut scheme = build_scheme_spec(&kind.into(), &device)?;
         let mut workload = SyntheticWorkload::new(&WorkloadConfig {
             pages: PAGES,
             footprint: PAGES / 2,

@@ -3,11 +3,9 @@
 //! qualitative results.
 
 use tossup_wl::attacks::{Attack, AttackKind};
-use tossup_wl::lifetime::{
-    build_scheme, run_attack, run_workload, Calibration, SchemeKind, SimLimits,
-};
+use tossup_wl::lifetime::{build_scheme_spec, run_attack, Calibration, SchemeKind, SimLimits};
 use tossup_wl::pcm::{PcmConfig, PcmDevice};
-use tossup_wl::workloads::ParsecBenchmark;
+use tossup_wl::workloads::{ParsecBenchmark, WorkloadSpec};
 
 const PAGES: u64 = 512;
 const ENDURANCE: u64 = 10_000;
@@ -25,7 +23,7 @@ fn device(seed: u64) -> PcmDevice {
 
 fn attack_fraction(kind: SchemeKind, attack: AttackKind, seed: u64) -> f64 {
     let mut dev = device(seed);
-    let mut scheme = build_scheme(kind, &dev).expect("scheme builds");
+    let mut scheme = build_scheme_spec(&kind.into(), &dev).expect("scheme builds");
     let mut attack = Attack::new(attack, scheme.page_count(), seed);
     run_attack(
         scheme.as_mut(),
@@ -112,13 +110,14 @@ fn benign_workload_ordering_matches_fig8() {
     let calibration = Calibration::for_bandwidth_mbps(bench.write_bandwidth_mbps());
     let fraction = |kind: SchemeKind| {
         let mut dev = device(42);
-        let mut scheme = build_scheme(kind, &dev).expect("scheme builds");
-        let mut workload = bench.workload(PAGES, 42);
-        run_workload(
+        let mut scheme = build_scheme_spec(&kind.into(), &dev).expect("scheme builds");
+        let mut workload = WorkloadSpec::from(bench)
+            .build(PAGES, 42)
+            .expect("workload builds");
+        run_attack(
             scheme.as_mut(),
             &mut dev,
             &mut workload,
-            bench.name(),
             &SimLimits::default(),
             &calibration,
         )
@@ -143,7 +142,7 @@ fn full_runs_are_deterministic() {
 #[test]
 fn reports_carry_consistent_accounting() {
     let mut dev = device(5);
-    let mut scheme = build_scheme(SchemeKind::TwlSwp, &dev).expect("scheme builds");
+    let mut scheme = build_scheme_spec(&SchemeKind::TwlSwp.into(), &dev).expect("scheme builds");
     let mut attack = Attack::new(AttackKind::Scan, scheme.page_count(), 5);
     let report = run_attack(
         scheme.as_mut(),

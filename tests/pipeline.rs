@@ -4,7 +4,7 @@
 
 use tossup_wl::attacks::{Attack, AttackKind, AttackStream};
 use tossup_wl::cache::{CacheHierarchy, CpuWorkload, CpuWorkloadConfig};
-use tossup_wl::lifetime::{build_scheme, SchemeKind};
+use tossup_wl::lifetime::{build_scheme_spec, SchemeKind};
 use tossup_wl::pcm::{LogicalPageAddr, PcmConfig, PcmDevice};
 use tossup_wl::twl::{TossUpWearLeveling, TwlConfig};
 use tossup_wl::wl::{AttackMonitor, WearLeveler};
@@ -71,7 +71,7 @@ fn checkpointed_run_matches_uninterrupted_run() {
 
     // Uninterrupted run: 30k scan writes.
     let mut device_a = PcmDevice::new(&pcm);
-    let mut scheme_a = build_scheme(SchemeKind::Sr, &device_a).expect("builds");
+    let mut scheme_a = build_scheme_spec(&SchemeKind::Sr.into(), &device_a).expect("builds");
     for i in 0..30_000u64 {
         scheme_a
             .write(LogicalPageAddr::new(i % 128), &mut device_a)
@@ -82,7 +82,7 @@ fn checkpointed_run_matches_uninterrupted_run() {
     // state is cloneable too, but here we restart the *device* from a
     // snapshot and keep driving the same scheme object.
     let mut device_b = PcmDevice::new(&pcm);
-    let mut scheme_b = build_scheme(SchemeKind::Sr, &device_b).expect("builds");
+    let mut scheme_b = build_scheme_spec(&SchemeKind::Sr.into(), &device_b).expect("builds");
     for i in 0..15_000u64 {
         scheme_b
             .write(LogicalPageAddr::new(i % 128), &mut device_b)
@@ -113,7 +113,7 @@ fn monitor_flags_a_live_inconsistent_attack_but_not_parsec() {
 
     // Attack stream through a real scheme, monitor alongside.
     let mut device = PcmDevice::new(&pcm);
-    let mut scheme = build_scheme(SchemeKind::TwlSwp, &device).expect("builds");
+    let mut scheme = build_scheme_spec(&SchemeKind::TwlSwp.into(), &device).expect("builds");
     let mut attack = Attack::new(AttackKind::Inconsistent, pages, 3);
     let mut monitor = AttackMonitor::for_pages();
     let mut feedback = None;
@@ -157,7 +157,7 @@ fn queued_controller_ranks_schemes_like_fig9() {
     // stalls on (engine cycles + migration blocking ahead of reads).
     let read_latency = |kind: SchemeKind| -> f64 {
         let mut device = PcmDevice::new(&pcm);
-        let mut scheme = build_scheme(kind, &device).expect("builds");
+        let mut scheme = build_scheme_spec(&kind.into(), &device).expect("builds");
         let mut workload = bench.workload(pages, 6);
         queued_execution(
             &timing,

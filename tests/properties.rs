@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use tossup_wl::lifetime::{build_scheme, SchemeKind};
+use tossup_wl::lifetime::{build_scheme_spec, SchemeKind};
 use tossup_wl::pcm::{LogicalPageAddr, PcmConfig, PcmDevice};
 use tossup_wl::rng::{FeistelPermutation, SimRng, SplitMix64};
 use tossup_wl::workloads::{zipf_alpha_for_hot_share, Zipf};
@@ -46,7 +46,7 @@ proptest! {
             .build()
             .expect("valid config");
         let mut device = PcmDevice::new(&pcm);
-        let mut scheme = build_scheme(kind, &device).expect("builds");
+        let mut scheme = build_scheme_spec(&kind.into(), &device).expect("builds");
         let logical = scheme.page_count();
         for &w in &writes {
             scheme.write(LogicalPageAddr::new(w % logical), &mut device).expect("no wear-out");
@@ -76,7 +76,7 @@ proptest! {
             .build()
             .expect("valid config");
         let mut device = PcmDevice::new(&pcm);
-        let mut scheme = build_scheme(kind, &device).expect("builds");
+        let mut scheme = build_scheme_spec(&kind.into(), &device).expect("builds");
         let logical = scheme.page_count();
         for &w in &writes {
             scheme.write(LogicalPageAddr::new(w % logical), &mut device).expect("no wear-out");
