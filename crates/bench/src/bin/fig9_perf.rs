@@ -5,19 +5,62 @@
 //! worst case +2.7 % on vips (the highest-bandwidth benchmark).
 //!
 //! Performance runs use a nominal-endurance device (wear never matters)
-//! and drive each benchmark's calibrated workload at the arrival rate
+//! and drive each benchmark's calibrated workload at the request rate
 //! its Table 2 bandwidth implies.
 //!
 //! Run: `cargo run --release -p twl-bench --bin fig9_perf [-- --pages N ...]`
 
 use twl_bench::{print_table, ExperimentConfig};
 use twl_lifetime::{build_scheme_spec, SchemeKind};
-use twl_memctrl::{simulate_execution, simulate_execution_banked, MemCtrlConfig};
-use twl_pcm::{PcmConfig, PcmDevice};
-use twl_workloads::ParsecBenchmark;
+use twl_memctrl::{simulate_execution, simulate_execution_banked, MemCtrlConfig, PerfReport};
+use twl_pcm::{PcmConfig, PcmDevice, PcmError};
+use twl_wl_core::WearLeveler;
+use twl_workloads::{MemCmd, ParsecBenchmark};
 
 /// Requests simulated per benchmark/scheme pair.
 const REQUESTS: u64 = 400_000;
+
+/// Share of a benchmark's requests that are reads.
+const READ_FRACTION: f64 = 0.55;
+
+/// An execution-time model: `simulate_execution` or
+/// `simulate_execution_banked`.
+type Model = fn(
+    &MemCtrlConfig,
+    &mut dyn WearLeveler,
+    &mut PcmDevice,
+    &mut dyn Iterator<Item = MemCmd>,
+    u64,
+) -> Result<PerfReport, PcmError>;
+
+/// One table row: `bench`'s execution time under each of `schemes`
+/// through `model`, normalized to NOWL's on the identical command stream.
+fn normalized_row(
+    model: Model,
+    config: &ExperimentConfig,
+    pcm: &PcmConfig,
+    bench: ParsecBenchmark,
+    schemes: &[SchemeKind],
+) -> Vec<f64> {
+    let ctrl = MemCtrlConfig::for_bandwidth(
+        bench.write_bandwidth_mbps(),
+        pcm.page_size_bytes,
+        READ_FRACTION,
+    );
+    let run = |kind: SchemeKind| {
+        let mut device = PcmDevice::new(pcm);
+        let mut scheme = build_scheme_spec(&kind.into(), &device)
+            .unwrap_or_else(|e| panic!("cannot build {kind}: {e}"));
+        let mut workload = bench.workload(config.pages, config.seed);
+        model(&ctrl, scheme.as_mut(), &mut device, &mut workload, REQUESTS)
+            .expect("nominal endurance cannot wear out")
+    };
+    let base = run(SchemeKind::Nowl);
+    schemes
+        .iter()
+        .map(|&kind| run(kind).normalized_to(&base))
+        .collect()
+}
 
 fn main() {
     let config = ExperimentConfig::from_env();
@@ -36,39 +79,11 @@ fn main() {
     let mut rows = Vec::new();
 
     for bench in ParsecBenchmark::ALL {
-        let read_fraction = 0.55;
-        let ctrl = MemCtrlConfig::for_bandwidth(
-            bench.write_bandwidth_mbps(),
-            pcm.page_size_bytes,
-            read_fraction,
-        );
-
-        // Baseline: NOWL on the identical command stream.
-        let mut base_device = PcmDevice::new(&pcm);
-        let mut nowl =
-            build_scheme_spec(&SchemeKind::Nowl.into(), &base_device).expect("NOWL builds");
-        let mut workload = bench.workload(config.pages, config.seed);
-        let base = simulate_execution(
-            &ctrl,
-            nowl.as_mut(),
-            &mut base_device,
-            &mut workload,
-            REQUESTS,
-        )
-        .expect("nominal endurance cannot wear out");
-
+        let normalized = normalized_row(simulate_execution, &config, &pcm, bench, &schemes);
         let mut cells = vec![bench.name().to_owned()];
-        for (i, &kind) in schemes.iter().enumerate() {
-            let mut device = PcmDevice::new(&pcm);
-            let mut scheme = build_scheme_spec(&kind.into(), &device)
-                .unwrap_or_else(|e| panic!("cannot build {kind}: {e}"));
-            let mut workload = bench.workload(config.pages, config.seed);
-            let report =
-                simulate_execution(&ctrl, scheme.as_mut(), &mut device, &mut workload, REQUESTS)
-                    .expect("nominal endurance cannot wear out");
-            let normalized = report.normalized_to(&base);
-            sums[i] += normalized;
-            cells.push(format!("{normalized:.4}"));
+        for (sum, n) in sums.iter_mut().zip(&normalized) {
+            *sum += n;
+            cells.push(format!("{n:.4}"));
         }
         rows.push(cells);
     }
@@ -86,36 +101,9 @@ fn main() {
     println!("\nbank-level model cross-check (vips / streamcluster):");
     let mut rows = Vec::new();
     for bench in [ParsecBenchmark::Vips, ParsecBenchmark::Streamcluster] {
-        let ctrl =
-            MemCtrlConfig::for_bandwidth(bench.write_bandwidth_mbps(), pcm.page_size_bytes, 0.55);
-        let mut base_device = PcmDevice::new(&pcm);
-        let mut nowl =
-            build_scheme_spec(&SchemeKind::Nowl.into(), &base_device).expect("NOWL builds");
-        let mut workload = bench.workload(config.pages, config.seed);
-        let base = simulate_execution_banked(
-            &ctrl,
-            nowl.as_mut(),
-            &mut base_device,
-            &mut workload,
-            REQUESTS,
-        )
-        .expect("nominal endurance cannot wear out");
+        let normalized = normalized_row(simulate_execution_banked, &config, &pcm, bench, &schemes);
         let mut cells = vec![bench.name().to_owned()];
-        for &kind in &schemes {
-            let mut device = PcmDevice::new(&pcm);
-            let mut scheme = build_scheme_spec(&kind.into(), &device)
-                .unwrap_or_else(|e| panic!("cannot build {kind}: {e}"));
-            let mut workload = bench.workload(config.pages, config.seed);
-            let report = simulate_execution_banked(
-                &ctrl,
-                scheme.as_mut(),
-                &mut device,
-                &mut workload,
-                REQUESTS,
-            )
-            .expect("nominal endurance cannot wear out");
-            cells.push(format!("{:.4}", report.normalized_to(&base)));
-        }
+        cells.extend(normalized.iter().map(|n| format!("{n:.4}")));
         rows.push(cells);
     }
     print_table(&headers, &rows);

@@ -21,7 +21,7 @@
 use std::fs;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
@@ -29,7 +29,8 @@ use std::time::{Duration, Instant};
 
 use twl_pcm::LogicalPageAddr;
 use twl_service::{
-    idle_deadline, is_idle_timeout, prepare_stream, serve, Reply, Request, Response, WireHandler,
+    idle_deadline, is_idle_timeout, prepare_stream, serve, write_atomic, Reply, Request, Response,
+    WireHandler,
 };
 use twl_telemetry::json::{int, str, Json};
 use twl_telemetry::prom::render_exposition;
@@ -135,14 +136,6 @@ impl Shared {
         counter!("twl.blockdev.persists").inc();
         Ok(())
     }
-}
-
-// Temp-file-plus-rename, like `BlockStore::persist`: atomic against a
-// daemon crash, deliberately not fsynced (FLUSH is on the request path).
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)
 }
 
 /// The `twl_blockdev_*` gauges live in the process-wide registry, so

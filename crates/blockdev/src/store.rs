@@ -111,8 +111,9 @@ impl BlockStore {
         Ok(())
     }
 
-    /// Persists the whole image atomically: written to `<path>.tmp`,
-    /// then renamed over `path`. Rename atomicity means a crashed
+    /// Persists the whole image atomically through
+    /// [`twl_service::write_atomic`]: written to a temp file beside
+    /// `path`, then renamed over it. Rename atomicity means a crashed
     /// *daemon* always leaves either the previous or the new snapshot;
     /// there is deliberately no fsync — power-loss durability is not a
     /// goal for a simulation device, and FLUSH runs on the request
@@ -123,9 +124,7 @@ impl BlockStore {
     /// Propagates filesystem errors; on failure `path` still holds the
     /// previous snapshot (or nothing).
     pub fn persist(&self, path: &Path) -> io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        fs::write(&tmp, &self.bytes)?;
-        fs::rename(&tmp, path)
+        twl_service::write_atomic(path, &self.bytes)
     }
 
     /// Restores a snapshot written by [`BlockStore::persist`].

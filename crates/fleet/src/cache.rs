@@ -206,11 +206,13 @@ impl CellCache {
     /// Stores a report under `key` atomically, then evicts LRU entries
     /// until the store fits the byte budget again.
     ///
+    /// Concurrent puts of one key (two running jobs that share a cell)
+    /// each land a whole entry; the last one wins.
+    ///
     /// # Errors
     ///
     /// Propagates filesystem failures; the store is never left with a
-    /// partially written entry (the tmp file simply leaks its bytes
-    /// until the next open scans past it).
+    /// partially written entry (see [`twl_service::write_atomic`]).
     pub fn put(&self, key: &CellKey, cell: &CachedCell) -> io::Result<()> {
         let doc = Json::obj([
             ("schema", str(ENTRY_SCHEMA)),
@@ -225,9 +227,7 @@ impl CellCache {
         let text = doc.to_compact();
         let path = self.entry_path(key);
         fs::create_dir_all(path.parent().expect("entry path has a shard parent"))?;
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        fs::write(&tmp, text.as_bytes())?;
-        fs::rename(&tmp, &path)?;
+        twl_service::write_atomic(&path, text.as_bytes())?;
 
         let bytes = text.len() as u64;
         let victims: Vec<CellKey> = {
@@ -405,6 +405,37 @@ mod tests {
         fs::rename(cache.entry_path(&key(3)), &misfiled).unwrap();
         let reopened = CellCache::open(&dir, 1 << 20).unwrap();
         assert!(reopened.get(&key(4)).is_none(), "misfiled entry served");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_key_all_succeed() {
+        // Running jobs that share a cell each store it; every put must
+        // land whole however the writes interleave.
+        let dir = scratch("same-key");
+        let cache = CellCache::open(&dir, 1 << 30).unwrap();
+        let big = CachedCell {
+            report: Json::Arr((0..20_000).map(int).collect()),
+            device_writes: 1,
+        };
+        let barrier = std::sync::Barrier::new(4);
+        let failures: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..50)
+                            .filter(|_| {
+                                barrier.wait();
+                                cache.put(&key(1), &big).is_err()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(failures, 0, "same-key puts failed");
+        assert_eq!(cache.get(&key(1)).expect("hit"), big);
         fs::remove_dir_all(&dir).ok();
     }
 }

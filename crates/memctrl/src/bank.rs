@@ -43,12 +43,6 @@ impl BankArray {
         }
     }
 
-    /// Number of banks.
-    #[must_use]
-    pub fn banks(&self) -> u32 {
-        self.busy_until.len() as u32
-    }
-
     fn bank_of(&self, pa: PhysicalPageAddr) -> usize {
         (pa.index() % self.busy_until.len() as u64) as usize
     }
@@ -72,12 +66,6 @@ impl BankArray {
             *b = end;
         }
         end
-    }
-
-    /// Whether `pa`'s bank is idle at time `t`.
-    #[must_use]
-    pub fn is_idle(&self, pa: PhysicalPageAddr, t: f64) -> bool {
-        self.busy_until[self.bank_of(pa)] <= t
     }
 
     /// Earliest time every bank is idle.

@@ -1,6 +1,6 @@
 //! Timing-model configuration.
 
-/// Configuration of the open-loop memory-controller model.
+/// Configuration of the closed-loop memory-controller models.
 ///
 /// # Examples
 ///
@@ -13,9 +13,8 @@
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemCtrlConfig {
-    /// CPU clock the cycle counts refer to (Table 1: 2 GHz).
-    pub cpu_hz: f64,
-    /// Mean cycles between request arrivals (open-loop rate).
+    /// Compute cycles between one request's completion and the next
+    /// request's issue.
     pub inter_arrival_cycles: f64,
     /// Fraction of migration blocking that reaches the requester's
     /// critical path. Banked arrays and write buffering hide most of a
@@ -25,9 +24,10 @@ pub struct MemCtrlConfig {
 }
 
 impl MemCtrlConfig {
-    /// Derives the arrival rate from a benchmark's measured *write*
+    /// Derives the request gap from a benchmark's measured *write*
     /// bandwidth: with `read_fraction` of requests being reads, the
-    /// total request rate is `writes_per_sec / (1 − read_fraction)`.
+    /// total request rate is `writes_per_sec / (1 − read_fraction)`,
+    /// at Table 1's 2 GHz CPU clock.
     ///
     /// # Panics
     ///
@@ -45,7 +45,6 @@ impl MemCtrlConfig {
         let writes_per_sec = write_bw_mbps * 1.0e6 / page_size_bytes as f64;
         let requests_per_sec = writes_per_sec / (1.0 - read_fraction);
         Self {
-            cpu_hz,
             inter_arrival_cycles: cpu_hz / requests_per_sec,
             blocking_visibility: 0.2,
         }
@@ -53,7 +52,7 @@ impl MemCtrlConfig {
 }
 
 impl Default for MemCtrlConfig {
-    /// A mid-range arrival rate (~500 MB/s of writes at 4 KB pages,
+    /// A mid-range request rate (~500 MB/s of writes at 4 KB pages,
     /// half reads).
     fn default() -> Self {
         Self::for_bandwidth(500.0, 4096, 0.5)

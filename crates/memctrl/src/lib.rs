@@ -3,23 +3,26 @@
 //! Memory-controller timing model for the `tossup-wl` simulator.
 //!
 //! Reproduces the execution-time side of the paper's evaluation (Fig. 9)
-//! without a full CPU simulator: requests from a workload arrive at the
-//! rate implied by the benchmark's measured bandwidth (Table 2) and are
-//! serviced by a single PCM channel whose banks overlap device latency.
-//! Three costs separate the schemes:
+//! without a full CPU simulator: a closed-loop CPU issues each request
+//! one compute gap after the previous one completes, the gap set by the
+//! benchmark's measured bandwidth (Table 2), and a single PCM channel
+//! whose banks overlap device latency services it. Three costs separate
+//! the schemes:
 //!
 //! * **engine cycles** — scheme logic on the request path (Bloom
 //!   filters and lists for BWL every write; TWL's tables plus an RNG
 //!   only on tossing writes; SR's XOR datapath);
 //! * **blocking cycles** — page migrations serialize the channel; bulk
-//!   epoch swaps stall every queued request (this is also the attacker's
-//!   side channel);
+//!   epoch swaps stall the requester (this is also the attacker's side
+//!   channel);
 //! * **extra device writes** — overhead writes occupy banks.
 //!
-//! Execution time is the completion time of the last request in an
-//! open-loop queue, so a swap burst delays everything behind it exactly
-//! as a blocked memory bus would. Normalizing a scheme's execution time
-//! by NOWL's on the identical command stream yields Fig. 9.
+//! Every request's memory latency sits on the critical path, so a swap
+//! burst extends execution time exactly as a blocked memory bus would.
+//! Execution time is the completion time of the last request; two models
+//! compute it, a coarse one ([`simulate_execution`]) and one with explicit
+//! bank scheduling ([`simulate_execution_banked`]). Normalizing a scheme's
+//! execution time by NOWL's on the identical command stream yields Fig. 9.
 //!
 //! # Examples
 //!
@@ -45,13 +48,8 @@
 
 mod bank;
 mod config;
-mod controller;
 mod sim;
 
 pub use bank::BankArray;
 pub use config::MemCtrlConfig;
-pub use controller::{
-    queued_execution, queued_execution_degraded, ControllerConfig, ControllerReport,
-    SchedulingPolicy,
-};
 pub use sim::{simulate_execution, simulate_execution_banked, PerfReport};

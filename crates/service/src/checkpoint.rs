@@ -9,11 +9,11 @@
 //! resumed daemon re-runs only the missing cells and the assembled
 //! result is bit-identical to an uninterrupted run.
 //!
-//! Files are written to a temp file unique to each save and renamed
-//! into place, so a crash mid-write never corrupts an existing
-//! checkpoint, and two threads saving one job at once (the submit
-//! handler and the worker that claimed the job) never share a temp
-//! file. The last rename wins; both documents are whole.
+//! Files are written through [`write_atomic`]: to a temp file unique to
+//! each save, then renamed into place. So a crash mid-write never
+//! corrupts an existing checkpoint, and two threads saving one job at
+//! once (the submit handler and the worker that claimed the job) never
+//! share a temp file. The last rename wins; both documents are whole.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -124,15 +124,10 @@ impl CheckpointDir {
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, cp: &Checkpoint) -> io::Result<()> {
-        static SAVES: AtomicU64 = AtomicU64::new(0);
-        let path = self.path_for(cp.job_id);
-        let tmp = path.with_extension(format!(
-            "json.{}-{}.tmp",
-            std::process::id(),
-            SAVES.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, cp.to_json().to_compact())?;
-        fs::rename(&tmp, &path)
+        write_atomic(
+            &self.path_for(cp.job_id),
+            cp.to_json().to_compact().as_bytes(),
+        )
     }
 
     /// Loads every parseable checkpoint, sorted by job id. Temp files
@@ -158,6 +153,39 @@ impl CheckpointDir {
         out.sort_by_key(|cp| cp.job_id);
         Ok(out)
     }
+}
+
+/// Writes `bytes` to `path` atomically: into a temp file beside it,
+/// `<file name>.<pid>-<n>.tmp` with `n` unique within the process, then
+/// renamed over `path`. Concurrent writers of one path never share a
+/// temp file, so each rename moves a whole document and the last one
+/// wins. A crashed writer leaves `path` as it was; a failed write
+/// removes its temp file. There is deliberately no fsync: power-loss
+/// durability is not a goal, and the daemons call this on request
+/// paths such as an NBD FLUSH.
+///
+/// # Errors
+///
+/// Propagates filesystem errors; `path` then still holds its previous
+/// contents (or nothing).
+///
+/// # Panics
+///
+/// Panics if `path` has no file name.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let mut name = path.file_name().expect("path names a file").to_owned();
+    name.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        WRITES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(name);
+    let written = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written
 }
 
 fn is_checkpoint_file(path: &Path) -> bool {
@@ -268,6 +296,22 @@ mod tests {
             loaded == vec![cp("queued")] || loaded == vec![cp("running")],
             "final checkpoint is one of the saved documents"
         );
+        fs::remove_dir_all(&dirpath).ok();
+    }
+
+    #[test]
+    fn a_failed_atomic_write_leaves_no_temp_file() {
+        // Renaming a file over a non-empty directory fails after the
+        // temp file has been written.
+        let dirpath = temp_dir("failed_write");
+        let target = dirpath.join("job-1.json");
+        fs::create_dir_all(target.join("occupied")).unwrap();
+        assert!(write_atomic(&target, b"{}").is_err());
+        let names: Vec<String> = fs::read_dir(&dirpath)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, ["job-1.json"]);
         fs::remove_dir_all(&dirpath).ok();
     }
 

@@ -46,7 +46,7 @@ pub mod queue;
 pub mod server;
 pub mod wire;
 
-pub use checkpoint::{Checkpoint, CheckpointDir, CHECKPOINT_SCHEMA};
+pub use checkpoint::{write_atomic, Checkpoint, CheckpointDir, CHECKPOINT_SCHEMA};
 pub use client::{CellOutcome, Client, ClientError, SubmitOutcome, BACKOFF_CAP_MS};
 pub use framing::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 pub use job::{decode_result, encode_result, JobKind, JobReports, JobSpec};

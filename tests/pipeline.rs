@@ -138,8 +138,8 @@ fn monitor_flags_a_live_inconsistent_attack_but_not_parsec() {
 }
 
 #[test]
-fn queued_controller_ranks_schemes_like_fig9() {
-    use tossup_wl::memctrl::{queued_execution, ControllerConfig, MemCtrlConfig};
+fn banked_model_ranks_schemes_like_fig9() {
+    use tossup_wl::memctrl::{simulate_execution_banked, MemCtrlConfig};
     use tossup_wl::workloads::ParsecBenchmark;
 
     let pages = 1024u64;
@@ -152,29 +152,28 @@ fn queued_controller_ranks_schemes_like_fig9() {
     let bench = ParsecBenchmark::Vips;
     let timing = MemCtrlConfig::for_bandwidth(bench.write_bandwidth_mbps(), 4096, 0.55);
 
-    // In the open-loop queued model total time is arrival-dominated;
-    // the scheme-discriminating observable is the read latency the CPU
-    // stalls on (engine cycles + migration blocking ahead of reads).
-    let read_latency = |kind: SchemeKind| -> f64 {
+    // In the closed-loop model every request's latency (engine cycles,
+    // bank occupancy, migration blocking) sits on the critical path, so
+    // total execution time is the scheme-discriminating observable.
+    let total_cycles = |kind: SchemeKind| -> u64 {
         let mut device = PcmDevice::new(&pcm);
         let mut scheme = build_scheme_spec(&kind.into(), &device).expect("builds");
         let mut workload = bench.workload(pages, 6);
-        queued_execution(
+        simulate_execution_banked(
             &timing,
-            &ControllerConfig::nvmain_like(),
             scheme.as_mut(),
             &mut device,
             &mut workload,
             100_000,
         )
         .expect("nominal endurance cannot wear out")
-        .mean_read_latency
+        .total_cycles
     };
 
-    let nowl = read_latency(SchemeKind::Nowl);
-    let twl = read_latency(SchemeKind::TwlSwp);
-    let bwl = read_latency(SchemeKind::Bwl);
-    // The queued model must agree with Fig. 9's ordering on the
+    let nowl = total_cycles(SchemeKind::Nowl);
+    let twl = total_cycles(SchemeKind::TwlSwp);
+    let bwl = total_cycles(SchemeKind::Bwl);
+    // The banked model must agree with Fig. 9's ordering on the
     // memory-bound benchmark: NOWL <= TWL < BWL.
     assert!(twl >= nowl, "TWL {twl} vs NOWL {nowl}");
     assert!(bwl > twl, "BWL {bwl} must cost more than TWL {twl}");
