@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Wear-out attack generators (paper §3 and §5.2).
 //!

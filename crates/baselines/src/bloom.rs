@@ -1,5 +1,6 @@
 //! Bloom-filter substrate for BWL (Yun+, DATE 2012).
 
+use twl_pcm::table;
 use twl_rng::SplitMix64;
 
 /// The full-width mix for hash function number `i` over `value`.
@@ -68,7 +69,7 @@ impl BloomFilter {
     pub fn new(m: usize, k: u32) -> Self {
         assert!(m > 0 && k > 0, "bloom filter needs bits and hashes");
         Self {
-            bits: vec![0; m.div_ceil(64)],
+            bits: table::filled(m.div_ceil(64), 0),
             m,
             k,
         }
@@ -150,7 +151,7 @@ impl CountingBloomFilter {
             "counting bloom filter needs counters and hashes"
         );
         Self {
-            counters: vec![0; m],
+            counters: table::filled(m, 0),
             k,
         }
     }

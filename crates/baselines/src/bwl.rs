@@ -15,7 +15,7 @@
 //! performance overhead is the largest in Fig. 9).
 
 use crate::{BloomFilter, CountingBloomFilter};
-use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
+use twl_pcm::{table, LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
 use twl_wl_core::{BatchOutcome, ReadOutcome, RemappingTable, WearLeveler, WlStats, WriteOutcome};
 
 /// A persistent hot-list entry: survives epochs until it misses the
@@ -154,14 +154,14 @@ impl EpochScratch {
             rebuild = self.dirty.len() * 4 > n;
         }
         if rebuild {
-            self.frames.clear();
+            table::reset(&mut self.frames, n);
             self.frames.extend(0..n as u32);
             self.frames
                 .sort_unstable_by_key(|&pa| (std::cmp::Reverse(rem[pa as usize]), pa));
         } else if !self.dirty.is_empty() {
             self.dirty
                 .sort_unstable_by_key(|&(r, pa)| (std::cmp::Reverse(r), pa));
-            self.merge.clear();
+            table::reset(&mut self.merge, n);
             let prev = &self.prev_rem[..n];
             let mut di = 0;
             for &pa in &self.frames {
@@ -186,7 +186,7 @@ impl EpochScratch {
             std::mem::swap(&mut self.frames, &mut self.merge);
         }
         std::mem::swap(&mut self.prev_rem, &mut self.rem);
-        self.frame_rank.clear();
+        table::reset(&mut self.frame_rank, n);
         self.frame_rank.resize(n, 0);
         for (rank, &pa) in self.frames.iter().enumerate() {
             self.frame_rank[pa as usize] = rank as u32;
@@ -335,7 +335,7 @@ impl BloomFilterWl {
         self.hot_list
             .sort_by_key(|e| (std::cmp::Reverse(e.estimate), e.la));
         let hot: Vec<LogicalPageAddr> = self.hot_list.iter().map(|e| e.la).collect();
-        self.scratch.hot_logical.clear();
+        table::reset(&mut self.scratch.hot_logical, pages);
         self.scratch.hot_logical.resize(pages, false);
         for &la in &hot {
             self.scratch.hot_logical[la.as_usize()] = true;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Prior wear-leveling schemes the DAC'17 paper compares against.
 //!

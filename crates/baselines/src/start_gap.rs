@@ -7,7 +7,7 @@
 //! origin of both Security Refresh's design and TWL's Feistel RNG, and
 //! as an extra PV-unaware baseline for the benches.
 
-use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
+use twl_pcm::{table, LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
 use twl_rng::FeistelPermutation;
 use twl_wl_core::{BatchOutcome, ReadOutcome, WearLeveler, WlStats, WriteOutcome};
 
@@ -101,8 +101,8 @@ impl StartGap {
             .then(|| FeistelPermutation::new(bits, config.seed, 4));
         let mut scheme = Self {
             config: *config,
-            frame_of: vec![0; logical as usize],
-            resident: vec![None; frames as usize],
+            frame_of: table::filled(logical as usize, 0),
+            resident: table::filled(frames as usize, None),
             gap: frames - 1,
             perm,
 

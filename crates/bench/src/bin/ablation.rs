@@ -16,6 +16,8 @@
 //!
 //! Run: `cargo run --release -p twl-bench --bin ablation [-- --pages N ...]`
 
+#![forbid(unsafe_code)]
+
 use twl_attacks::AttackKind;
 use twl_bench::{print_table, ExperimentConfig};
 use twl_lifetime::{lifetime_matrix, SchemeSpec, SimLimits};

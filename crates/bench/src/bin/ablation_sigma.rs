@@ -15,6 +15,8 @@
 //!
 //! Run: `cargo run --release -p twl-bench --bin ablation_sigma [-- --pages N ...]`
 
+#![forbid(unsafe_code)]
+
 use twl_attacks::AttackKind;
 use twl_bench::{print_table, ExperimentConfig};
 use twl_lifetime::{lifetime_matrix, SchemeKind, SimLimits};

@@ -12,6 +12,8 @@
 //!
 //! Run: `cargo run --release -p twl-bench --bin extension_adaptive [-- --pages N ...]`
 
+#![forbid(unsafe_code)]
+
 use twl_attacks::{Attack, AttackKind};
 use twl_baselines::{AdaptiveSecurityRefresh, SecurityRefresh, SrConfig};
 use twl_bench::{print_table, ExperimentConfig};

@@ -8,6 +8,8 @@
 //!
 //! Run: `cargo run --release -p twl-bench --bin extension_detector [-- --pages N ...]`
 
+#![forbid(unsafe_code)]
+
 use twl_attacks::{Attack, AttackKind, AttackStream};
 use twl_bench::{print_table, ExperimentConfig};
 use twl_wl_core::AttackMonitor;

@@ -10,6 +10,8 @@
 //!
 //! Run: `cargo run --release -p twl-bench --bin extension_od3p [-- --pages N ...]`
 
+#![forbid(unsafe_code)]
+
 use twl_attacks::{Attack, AttackKind, AttackStream};
 use twl_baselines::{Od3pConfig, OnDemandPagePairing};
 use twl_bench::{print_table, ExperimentConfig};

@@ -18,6 +18,8 @@
 //!
 //! Run: `cargo run --release -p twl-bench --bin fault_lifetime [-- --pages N ...]`
 
+#![forbid(unsafe_code)]
+
 use twl_attacks::AttackKind;
 use twl_bench::{print_table, ExperimentConfig};
 use twl_faults::FaultConfig;

@@ -15,6 +15,8 @@
 //!
 //! Run: `cargo run --release -p twl-bench --bin fig6_attacks [-- --pages N ...]`
 
+#![forbid(unsafe_code)]
+
 use twl_bench::{print_table, ExperimentConfig};
 use twl_lifetime::{lifetime_matrix, parse_spec_list, Calibration, SimLimits};
 use twl_workloads::parse_workload_list;

@@ -8,6 +8,8 @@
 //!
 //! Run: `cargo run --release -p twl-bench --bin fig6_seeds [-- --pages N ...]`
 
+#![forbid(unsafe_code)]
+
 use twl_attacks::AttackKind;
 use twl_bench::{print_table, ExperimentConfig};
 use twl_lifetime::{lifetime_matrix, SchemeKind, SimLimits};

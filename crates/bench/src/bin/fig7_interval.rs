@@ -14,6 +14,8 @@
 //!
 //! Run: `cargo run --release -p twl-bench --bin fig7_interval [-- --pages N ...]`
 
+#![forbid(unsafe_code)]
+
 use twl_bench::{print_table, ExperimentConfig};
 use twl_lifetime::{lifetime_matrix, SchemeSpec, SimLimits};
 use twl_pcm::PcmConfig;

@@ -5,6 +5,8 @@
 //!
 //! Run: `cargo run --release -p twl-bench --bin fig8_lifetime [-- --pages N ...]`
 
+#![forbid(unsafe_code)]
+
 use twl_bench::{print_table, ExperimentConfig};
 use twl_lifetime::{lifetime_matrix, SchemeKind, SimLimits};
 use twl_workloads::ParsecBenchmark;

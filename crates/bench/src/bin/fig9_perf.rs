@@ -10,6 +10,8 @@
 //!
 //! Run: `cargo run --release -p twl-bench --bin fig9_perf [-- --pages N ...]`
 
+#![forbid(unsafe_code)]
+
 use twl_bench::{print_table, ExperimentConfig};
 use twl_lifetime::{build_scheme_spec, SchemeKind};
 use twl_memctrl::{simulate_execution, simulate_execution_banked, MemCtrlConfig, PerfReport};

@@ -6,6 +6,8 @@
 //!
 //! Run: `cargo run -p twl-bench --bin overhead_table`
 
+#![forbid(unsafe_code)]
+
 use twl_bench::{print_table, ExperimentConfig};
 use twl_core::{TwlConfig, TwlOverhead};
 use twl_pcm::PcmConfig;

@@ -3,6 +3,8 @@
 //!
 //! Run: `cargo run -p twl-bench --bin setup_table`
 
+#![forbid(unsafe_code)]
+
 use twl_bench::ExperimentConfig;
 use twl_core::TwlConfig;
 use twl_pcm::PcmConfig;

@@ -8,6 +8,8 @@
 //!
 //! Run: `cargo run --release -p twl-bench --bin table2 [-- --pages N ...]`
 
+#![forbid(unsafe_code)]
+
 use twl_bench::{print_table, ExperimentConfig};
 use twl_lifetime::{run_lifetime_cell, Calibration, SchemeKind, SimLimits};
 use twl_workloads::ParsecBenchmark;

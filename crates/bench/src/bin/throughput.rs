@@ -26,6 +26,8 @@
 //! lands more than 10% below the committed baseline measured on the
 //! same geometry — the regression gates CI relies on.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 use twl_attacks::{Attack, AttackKind};
 use twl_lifetime::{

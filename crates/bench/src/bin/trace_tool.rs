@@ -14,6 +14,8 @@
 //!
 //! Run: `cargo run --release -p twl-bench --bin trace_tool -- gen canneal 100000 /tmp/canneal.trace`
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Shared harness utilities for the table/figure-regenerating binaries.
 //!

@@ -17,6 +17,8 @@
 //!   gauge samples on a live daemon's metrics page, so equality is one
 //!   `grep`-and-diff away.
 
+#![forbid(unsafe_code)]
+
 use std::fs::File;
 use std::path::PathBuf;
 use std::process::ExitCode;

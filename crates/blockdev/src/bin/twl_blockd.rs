@@ -21,6 +21,8 @@
 //!   a restarted daemon restores the data image and replays the
 //!   capture into a bit-identical wear state.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `twl-blockdev`: a network-block-device frontend for the simulated
 //! PCM — real filesystem traffic through the paper's wear pipeline.

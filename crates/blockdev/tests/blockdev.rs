@@ -3,6 +3,8 @@
 //! offline replay reproduces the wear state bit for bit, and a killed
 //! daemon resumes from its snapshot without data loss.
 
+#![forbid(unsafe_code)]
+
 use std::fs::{self, File};
 use std::path::PathBuf;
 use std::thread::{self, JoinHandle};

@@ -10,6 +10,8 @@
 //! with `read_trace` (the replayer's reader), so any drift between the
 //! two halves of the codec fails the property.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 
 use twl_blockdev::{BlockGeometry, GatewayConfig, WearGateway};

@@ -6,6 +6,8 @@
 //! One shared in-process daemon serves every test in this binary; its
 //! thread dies with the process.
 
+#![forbid(unsafe_code)]
+
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::OnceLock;

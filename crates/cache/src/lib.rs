@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! CPU cache hierarchy for the `tossup-wl` simulator.
 //!

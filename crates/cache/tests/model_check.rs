@@ -2,6 +2,8 @@
 //! with a trivially-correct reference implementation on every access of
 //! arbitrary traces.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use std::collections::HashMap;
 use twl_cache::{Cache, CacheConfig};

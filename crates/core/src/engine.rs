@@ -331,6 +331,13 @@ impl WearLeveler for TossUpWearLeveling {
     }
 
     fn write_batch(&mut self, la: LogicalPageAddr, n: u64, device: &mut PcmDevice) -> BatchOutcome {
+        if n == 1 {
+            // The scalar path is the same state machine without the
+            // countdown set-up, the deferred flush and the batch-wide
+            // metric adds, so a run of one (every write of a stream
+            // with no repeats) is cheaper there.
+            return self.write(la, device).into();
+        }
         let mut batch = BatchOutcome::default();
         if n == 0 {
             return batch;
@@ -926,6 +933,90 @@ mod tests {
         assert_eq!(bulk.remapping_table(), seq.remapping_table());
         assert_eq!(dev_bulk.wear_counters(), dev_seq.wear_counters());
         assert!(bulk.toss_ups() > 0, "the stress actually crossed events");
+    }
+
+    /// Drives `batch` with runs of one and `scalar` with `write`, and
+    /// checks after every write that outcome, statistics, tables, wear
+    /// and the RNG position agree. Stops after the first failure.
+    fn assert_batch_of_one_is_write(
+        (dev_batch, batch): &mut (PcmDevice, TossUpWearLeveling),
+        (dev_scalar, scalar): &mut (PcmDevice, TossUpWearLeveling),
+        writes: u64,
+    ) {
+        for i in 0..writes {
+            let la = LogicalPageAddr::new(i % 3 % batch.page_count());
+            let got = batch.write_batch(la, 1, dev_batch);
+            let want = BatchOutcome::from(scalar.write(la, dev_scalar));
+            assert_eq!(got, want, "write {i}");
+            assert_eq!(batch.stats(), scalar.stats(), "write {i}");
+            assert_eq!(batch.toss_ups(), scalar.toss_ups(), "write {i}");
+            assert_eq!(batch.inter_pair_swaps(), scalar.inter_pair_swaps());
+            assert_eq!(batch.remapping_table(), scalar.remapping_table());
+            assert_eq!(batch.wct, scalar.wct, "write {i}");
+            assert_eq!(batch.global_writes, scalar.global_writes);
+            assert_eq!(dev_batch.wear_counters(), dev_scalar.wear_counters());
+            assert_eq!(
+                batch.rng.clone().next_u64(),
+                scalar.rng.clone().next_u64(),
+                "RNG position after write {i}"
+            );
+            if got.failure.is_some() {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn write_batch_of_one_is_the_scalar_write() {
+        // Toss-ups every 4th write to an address and inter-pair swaps
+        // every 6th write overall: the runs cross both boundaries, alone
+        // and on the same write.
+        let setup_twl = || {
+            let pcm = PcmConfig::builder()
+                .pages(16)
+                .mean_endurance(1_000_000)
+                .seed(5)
+                .build()
+                .unwrap();
+            let device = PcmDevice::new(&pcm);
+            let config = TwlConfig::builder()
+                .toss_up_interval(4)
+                .inter_pair_swap_interval(6)
+                .build()
+                .unwrap();
+            let twl = TossUpWearLeveling::new(&config, device.endurance_map());
+            (device, twl)
+        };
+        let (mut batch, mut scalar) = (setup_twl(), setup_twl());
+        assert_batch_of_one_is_write(&mut batch, &mut scalar, 240);
+        assert!(batch.1.toss_ups() > 0 && batch.1.inter_pair_swaps() > 0);
+        assert!(batch.1.stats().swaps > 0);
+    }
+
+    #[test]
+    fn write_batch_of_one_fails_like_the_scalar_write() {
+        // A two-page device that wears out within a few dozen writes,
+        // with toss-ups and inter-pair swaps along the way.
+        let setup_twl = || {
+            let pcm = PcmConfig::builder()
+                .pages(2)
+                .mean_endurance(20)
+                .sigma_fraction(0.0)
+                .build()
+                .unwrap();
+            let device = PcmDevice::with_endurance(&pcm, EnduranceMap::from_values(vec![20, 20]));
+            let config = TwlConfig::builder()
+                .toss_up_interval(3)
+                .inter_pair_swap_interval(5)
+                .pairing(PairingStrategy::Adjacent)
+                .build()
+                .unwrap();
+            let twl = TossUpWearLeveling::new(&config, device.endurance_map());
+            (device, twl)
+        };
+        let (mut batch, mut scalar) = (setup_twl(), setup_twl());
+        assert_batch_of_one_is_write(&mut batch, &mut scalar, 1_000);
+        assert!(batch.0.first_failure().is_some(), "the device wore out");
     }
 
     #[test]

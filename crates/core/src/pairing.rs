@@ -1,6 +1,6 @@
 //! Toss-up pair construction (the SWPT of Fig. 5).
 
-use twl_pcm::{EnduranceMap, PhysicalPageAddr};
+use twl_pcm::{table, EnduranceMap, PhysicalPageAddr};
 use twl_rng::{SimRng, Xoshiro256StarStar};
 
 /// How physical pages are bonded into toss-up pairs.
@@ -72,7 +72,7 @@ impl PairTable {
         assert!(n >= 2, "pairing needs at least 2 pages");
         assert!(n.is_multiple_of(2), "pairing needs an even page count");
         twl_telemetry::counter!("twl.core.pair_builds").inc();
-        let mut partner = vec![0u64; n];
+        let mut partner = table::filled(n, 0u64);
         match strategy {
             PairingStrategy::StrongWeak => {
                 let sorted = endurance.sorted_by_endurance();

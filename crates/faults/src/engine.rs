@@ -2,7 +2,7 @@
 //! corrects within the policy budget, and retires uncorrectable pages.
 
 use crate::{CellFaultModel, CorrectionPolicy};
-use twl_pcm::{PcmDevice, PcmError, PhysicalPageAddr};
+use twl_pcm::{table, PcmDevice, PcmError, PhysicalPageAddr};
 use twl_telemetry::{counter, gauge};
 
 /// One page retirement performed during [`FaultEngine::absorb`].
@@ -67,8 +67,8 @@ impl FaultEngine {
             model,
             policy,
             budget: policy.budget(),
-            faults: vec![0; pages],
-            dead: vec![false; pages],
+            faults: table::filled(pages, 0),
+            dead: table::filled(pages, false),
             corrected_groups: 0,
             uncorrectable_pages: 0,
             scratch: Vec::new(),

@@ -30,7 +30,7 @@
 use crate::FaultEngine;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use twl_pcm::{PcmDevice, PhysicalPageAddr};
+use twl_pcm::{table, PcmDevice, PhysicalPageAddr};
 
 /// Distance sentinel for pages with no further observable events
 /// (dead pages, or live pages whose fault budget exceeds their group
@@ -65,7 +65,7 @@ impl EventHorizon {
     pub fn new(engine: &FaultEngine, device: &PcmDevice) -> Self {
         let pages = engine.model().page_count();
         let mut horizon = Self {
-            dist: vec![NEVER; pages],
+            dist: table::filled(pages, NEVER),
             heap: BinaryHeap::with_capacity(pages),
             retirement_only: engine.corrected_groups() > 0,
         };

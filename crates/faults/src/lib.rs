@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `twl-faults`: cell-level fault injection, ECP/SAFER-style correction,
 //! and spare-pool page retirement for the `tossup-wl` simulator.

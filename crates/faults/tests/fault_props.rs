@@ -9,6 +9,8 @@
 //!   retirement the engine performs.
 //! * The cell-fault model is a pure function of its seed.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use twl_faults::{CellFaultModel, CorrectionPolicy, FaultConfig, FaultEngine};
 use twl_pcm::{PcmConfig, PcmDevice, PcmError, PhysicalPageAddr, WearPolicy};

@@ -28,6 +28,8 @@
 //!   duplicates a cell still in flight on a slow worker (first
 //!   completion wins; cells are pure, so the race is safe).
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `twl-fleet`: a distributed sweep fabric for the tossup-wl workspace.
 //!
@@ -24,7 +25,7 @@
 //!   the submitting client as they happen, exactly like a single-node
 //!   run.
 //!
-//! The pieces, bottom-up: [`sha256`] (std-only FIPS 180-4 digest),
+//! The pieces, bottom-up: [`sha256`](mod@sha256) (std-only FIPS 180-4 digest),
 //! [`cellkey`] (versioned content addressing), [`cache`] (the durable
 //! report store), [`dispatch`] (the shared work pool with stealing and
 //! retries), and [`coordinator`] (the daemon gluing them to the wire).

@@ -9,6 +9,8 @@
 //! silently re-keying — see the schema-evolution rules on the
 //! `cellkey` module.
 
+#![forbid(unsafe_code)]
+
 use twl_attacks::AttackKind;
 use twl_fleet::{sha256_hex, CellKey};
 use twl_lifetime::{SchemeKind, SimLimits};

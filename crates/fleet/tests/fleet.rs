@@ -9,6 +9,8 @@
 //! that only grow — the telemetry registry is shared by every test in
 //! this process.
 
+#![forbid(unsafe_code)]
+
 use std::io::BufRead as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;

@@ -325,7 +325,7 @@ impl Regime for FailStop<'_> {
             years: self.calibration.years(capacity_fraction),
             swap_per_write: stats.swap_per_write(),
             extra_write_ratio: stats.extra_write_ratio(),
-            wear_gini: device.wear_stats().wear_gini,
+            wear_gini: twl_pcm::wear_gini(device.wear_counters()),
         };
         twl_telemetry::emit(&TelemetryRecord::Summary(SchemeSummary {
             scheme: report.scheme.clone(),
@@ -505,7 +505,7 @@ impl Regime for Degradation<'_> {
             end: self.end,
             capacity_fraction,
             years: self.calibration.years(capacity_fraction),
-            wear_gini: device.wear_stats().wear_gini,
+            wear_gini: twl_pcm::wear_gini(device.wear_counters()),
             curve: self.curve,
         };
         // The absorb aggregate is charged to the drive span, so it

@@ -3,6 +3,8 @@
 //! running the same banks serially — the partition and the merge depend
 //! on the config, never on scheduling.
 
+#![forbid(unsafe_code)]
+
 use twl_attacks::AttackKind;
 use twl_lifetime::{run_lifetime_banked_on, SchemeKind, SimLimits};
 use twl_pcm::PcmConfig;

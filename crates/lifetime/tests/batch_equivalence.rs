@@ -3,6 +3,8 @@
 //! report and a device wear map bit-identical to the per-write
 //! reference loop.
 
+#![forbid(unsafe_code)]
+
 use twl_attacks::{Attack, AttackKind, AttackStream};
 use twl_lifetime::{
     build_scheme_spec, run_attack, run_attack_unbatched, Calibration, LifetimeReport, SchemeKind,

@@ -5,6 +5,8 @@
 //! the per-write reference loop that absorbs faults after every single
 //! logical write.
 
+#![forbid(unsafe_code)]
+
 use twl_attacks::{Attack, AttackKind, AttackStream};
 use twl_faults::{CorrectionPolicy, FaultConfig};
 use twl_lifetime::{

@@ -2,6 +2,8 @@
 //! `SchemeSpec` and `WorkloadSpec` share one `KIND[k=v,...]` grammar, so
 //! every shape must get the same verdict from both.
 
+#![forbid(unsafe_code)]
+
 use twl_lifetime::{parse_spec_list, SchemeSpec};
 use twl_telemetry::json::Json;
 use twl_workloads::{parse_workload_list, TraceParams, WorkloadKind, WorkloadParams, WorkloadSpec};

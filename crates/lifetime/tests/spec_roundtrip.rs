@@ -4,6 +4,8 @@
 //! case. These are the contracts the service wire format, checkpoint
 //! files, and `twl-ctl --schemes` all lean on.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use twl_core::PairingStrategy;
 use twl_lifetime::{

@@ -7,6 +7,8 @@
 //! This is its own test binary because the telemetry sink pipeline is
 //! process-global.
 
+#![forbid(unsafe_code)]
+
 use twl_attacks::{Attack, AttackKind};
 use twl_faults::{CorrectionPolicy, FaultConfig};
 use twl_lifetime::{

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Memory-controller timing model for the `tossup-wl` simulator.
 //!

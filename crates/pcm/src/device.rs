@@ -22,7 +22,7 @@
 //! write indexes the wear table directly, with no dependent load
 //! through a page-count-sized map.
 
-use crate::{EnduranceMap, PcmConfig, PcmError, PhysicalPageAddr, WearStats};
+use crate::{table, EnduranceMap, PcmConfig, PcmError, PhysicalPageAddr, WearStats};
 
 /// What happens when a page's wear reaches its tested endurance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -177,14 +177,14 @@ impl PcmDevice {
         let pages = endurance.len();
         Self {
             config: config.clone(),
-            wear: vec![0; pages],
+            wear: table::filled(pages, 0),
             endurance,
             total_writes: 0,
             first_failure: None,
             policy: WearPolicy::FailStop,
             forward: Vec::new(),
             back: Vec::new(),
-            retired: vec![false; pages],
+            retired: table::filled(pages, false),
             spares: Vec::new(),
             retired_count: 0,
             write_log: None,
@@ -360,8 +360,8 @@ impl PcmDevice {
         };
         if self.forward.is_empty() {
             let pages = self.config.pages as u32;
-            self.forward = (0..pages).collect();
-            self.back = (0..pages).collect();
+            self.forward = table::collected(pages as usize, 0..pages);
+            self.back = table::collected(pages as usize, 0..pages);
         }
         let old = self.forward[slot.as_usize()] as usize;
         self.retired[old] = true;
@@ -529,8 +529,7 @@ impl PcmDevice {
     /// per-frame [`PcmDevice::remaining`] calls, which would re-resolve
     /// the slot indirection on every comparison.
     pub fn remaining_table(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.reserve(self.config.pages as usize);
+        table::reset(out, self.config.pages as usize);
         let endurance = self.endurance.values();
         if self.forward.is_empty() {
             out.extend(

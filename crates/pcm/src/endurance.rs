@@ -1,6 +1,6 @@
 //! Process-variation endurance map.
 
-use crate::{PcmConfig, PhysicalPageAddr};
+use crate::{table, PcmConfig, PhysicalPageAddr};
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex, Weak};
 use twl_rng::{GaussianSampler, Xoshiro256StarStar};
@@ -83,11 +83,10 @@ impl EnduranceMap {
             config.mean_endurance as f64,
             config.sigma_fraction * config.mean_endurance as f64,
         );
-        let drawn = Arc::new(
-            (0..config.pages)
-                .map(|_| sampler.sample_clipped(&mut rng, 1.0).round() as u64)
-                .collect(),
-        );
+        let drawn = Arc::new(table::collected(
+            config.pages as usize,
+            (0..config.pages).map(|_| sampler.sample_clipped(&mut rng, 1.0).round() as u64),
+        ));
         let mut live = live();
         if let Some(values) = live.get(&key).and_then(Weak::upgrade) {
             return Self { values };

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! Phase-change-memory device model for the `tossup-wl` simulator.
 //!
@@ -38,6 +39,7 @@ mod device;
 mod endurance;
 mod error;
 mod stats;
+pub mod table;
 mod timing;
 
 pub use addr::{LogicalPageAddr, PhysicalPageAddr};

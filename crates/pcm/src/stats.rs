@@ -91,24 +91,59 @@ impl WearStats {
 #[must_use]
 pub fn wear_gini(values: &[u64]) -> f64 {
     let n = values.len();
-    let total: u128 = values.iter().map(|&v| u128::from(v)).sum();
+    let (total, max) = values.iter().fold((0u128, 0u64), |(total, max), &v| {
+        (total + u128::from(v), max.max(v))
+    });
     if total == 0 || n < 2 {
         return 0.0;
     }
+    // G = (2 * sum_i i*x_i) / (n * sum x) - (n + 1) / n, with i from 1
+    // over the values in ascending order. Wear maps are mostly small
+    // counters on many pages, so the rank-weighted sum comes from a
+    // count per value unless the values are too wide to count.
+    let weighted = if max < n as u64 {
+        counted_rank_sum(values, max)
+    } else {
+        sorted_rank_sum(values)
+    };
+    (2.0 * weighted as f64) / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64
+}
+
+/// `sum_i i * x_i` over `values` sorted ascending, ranks from 1.
+fn sorted_rank_sum(values: &[u64]) -> u128 {
     let mut sorted: Vec<u64> = values.to_vec();
     sorted.sort_unstable();
-    // G = (2 * sum_i i*x_i) / (n * sum x) - (n + 1) / n, with i from 1.
-    let weighted: u128 = sorted
+    sorted
         .iter()
         .enumerate()
         .map(|(i, &v)| (i as u128 + 1) * u128::from(v))
-        .sum();
-    (2.0 * weighted as f64) / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64
+        .sum()
+}
+
+/// [`sorted_rank_sum`] without the sort, for values all at most `max`:
+/// the `c` copies of a value with `below` smaller values ahead of it
+/// take ranks `below + 1 ..= below + c`, which sum to
+/// `c * below + c * (c + 1) / 2`.
+fn counted_rank_sum(values: &[u64], max: u64) -> u128 {
+    let mut counts = vec![0u64; max as usize + 1];
+    for &v in values {
+        counts[v as usize] += 1;
+    }
+    let mut below = 0u128;
+    let mut weighted = 0u128;
+    for (v, &c) in counts.iter().enumerate() {
+        let c = u128::from(c);
+        weighted += v as u128 * (c * below + c * (c + 1) / 2);
+        below += c;
+    }
+    weighted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use twl_rng::{SimRng, SplitMix64};
 
     #[test]
     fn uniform_wear_has_zero_gini() {
@@ -144,6 +179,73 @@ mod tests {
         assert_eq!(stats.total_writes, 0);
         assert_eq!(stats.wear_gini, 0.0);
         assert_eq!(stats.max_wear_ratio, 0.0);
+    }
+
+    /// The Gini as the sort-only implementation computes it.
+    fn sorted_gini(values: &[u64]) -> f64 {
+        let n = values.len();
+        let total: u128 = values.iter().map(|&v| u128::from(v)).sum();
+        if total == 0 || n < 2 {
+            return 0.0;
+        }
+        (2.0 * sorted_rank_sum(values) as f64) / (n as f64 * total as f64)
+            - (n as f64 + 1.0) / n as f64
+    }
+
+    fn assert_gini_matches_sort(values: &[u64]) {
+        assert_eq!(
+            wear_gini(values).to_bits(),
+            sorted_gini(values).to_bits(),
+            "values {values:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn gini_matches_sort(regime in 0u8..6, len in 0usize..400, seed in any::<u64>()) {
+            let mut rng = SplitMix64::seed_from(seed);
+            let n = len as u64;
+            let values: Vec<u64> = (0..len)
+                .map(|i| match regime {
+                    // Counted: small counters, many ties.
+                    0 => rng.next_bounded(4),
+                    // Counted: values up to just below the length.
+                    1 => rng.next_bounded(n.max(1)),
+                    // Sorted: values at and past the length.
+                    2 => n + rng.next_bounded(1 << 40),
+                    // Sorted: near-maximum values.
+                    3 => u64::MAX / 512 - rng.next_bounded(4),
+                    // All equal.
+                    4 => 7,
+                    // One hot page on an otherwise cold device.
+                    _ => u64::from(i == len / 2) * rng.next_bounded(1 << 20),
+                })
+                .collect();
+            assert_gini_matches_sort(&values);
+        }
+    }
+
+    #[test]
+    fn gini_edge_cases_match_sort() {
+        let cases: [&[u64]; 9] = [
+            &[],
+            &[9],
+            &[0, 0, 0, 0],
+            &[3, 3, 3],
+            &[0, 0, 0, 1],
+            &[0, 0, 0, 3],
+            &[0, 0, 0, 4],
+            &[0, 0, 0, u64::MAX / 8],
+            &[1, 0, 2, 1, 0],
+        ];
+        for values in cases {
+            assert_gini_matches_sort(values);
+        }
+        assert_eq!(wear_gini(&[]), 0.0);
+        assert_eq!(wear_gini(&[0, 0, 0]), 0.0);
+        assert_eq!(wear_gini(&[5]), 0.0);
+        assert_eq!(wear_gini(&[4, 4, 4, 4]), 0.0);
     }
 
     #[test]

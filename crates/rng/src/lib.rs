@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Deterministic random-number generation for the `tossup-wl` simulator.
 //!

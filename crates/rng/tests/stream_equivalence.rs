@@ -6,6 +6,8 @@
 //! must be indistinguishable from that reference — for every seed,
 //! every length, every offset, and every interleaving.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use twl_rng::{RngBuffer, SimRng, SplitMix64, Xoshiro256StarStar};
 

@@ -63,6 +63,8 @@
 //! json` emits the result document verbatim for scripting, the default
 //! table matches the twl-bench binaries.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use twl_service::job::{encode_result, JobKind, JobReports, JobSpec};

@@ -22,6 +22,8 @@
 //!   requests (default 300000; 0 disables), so a stalled or half-open
 //!   peer cannot pin a connection thread indefinitely.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -29,6 +29,8 @@
 //! exits — what the CI smoke job and scripts use. The default address
 //! is `$TWL_SERVICE_ADDR` or `127.0.0.1:7781`.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::time::Duration;
 

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `twl-service`: simulation-as-a-service for the tossup-wl workspace.
 //!

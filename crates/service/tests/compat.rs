@@ -5,6 +5,8 @@
 //! the refactored engine computes today. Parameterized specs must make
 //! the same trip (submit → checkpoint → kill → resume) losslessly.
 
+#![forbid(unsafe_code)]
+
 mod common;
 
 use std::time::Duration;

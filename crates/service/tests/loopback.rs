@@ -3,6 +3,8 @@
 //! and the `twl-ctl` binary, must return results bit-identical to
 //! calling the simulation cells directly in-process.
 
+#![forbid(unsafe_code)]
+
 mod common;
 
 use std::time::Duration;

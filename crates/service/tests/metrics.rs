@@ -5,6 +5,8 @@
 //! binaries (`twl-top --once`, `twl-ctl metrics --lint`) must accept
 //! the same page end-to-end.
 
+#![forbid(unsafe_code)]
+
 mod common;
 
 use std::time::Duration;

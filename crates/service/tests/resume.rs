@@ -3,6 +3,8 @@
 //! restart over the same checkpoint directory, finish the job with a
 //! result bit-identical to an uninterrupted run.
 
+#![forbid(unsafe_code)]
+
 mod common;
 
 use std::time::Duration;

@@ -17,6 +17,8 @@
 //! the tolerance, so it can gate CI. A missing, unreadable, or
 //! non-trace input exits non-zero with an error on stderr.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use twl_telemetry::{

@@ -41,6 +41,7 @@
 //! Every emitted record carries [`SCHEMA_VERSION`] so traces remain
 //! self-describing as the schema evolves.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod inspect;

@@ -96,7 +96,9 @@ fn close_frame(
     })
 }
 
-/// RAII timer for one phase of work; see the [module docs](self).
+/// RAII timer for one phase of work: creation notes the start time
+/// and drop emits one `span` record with the phase's inclusive and
+/// exclusive time (usually created through [`span!`](crate::span!)).
 ///
 /// Guards must be dropped in reverse creation order *on the same
 /// thread* (the natural behavior of stack variables). A guard created

@@ -2,6 +2,8 @@
 //! non-zero with a diagnostic on stderr (never an empty report), while
 //! a real trace — including a spans-only one — renders fine.
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 
 use twl_telemetry::TelemetryRecord;

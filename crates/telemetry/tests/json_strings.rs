@@ -3,6 +3,8 @@
 //! every value survives `to_compact` → `parse` unchanged, byte for
 //! byte.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use twl_telemetry::json::Json;
 

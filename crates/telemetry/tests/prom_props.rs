@@ -3,6 +3,8 @@
 //! cumulative/monotone, and agree between `_count` and the `+Inf`
 //! bucket — plus label-escaping round-trips through the parser.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use twl_telemetry::prom::{
     escape_label_value, parse_exposition, render_exposition, scalar_samples, PromWriter,

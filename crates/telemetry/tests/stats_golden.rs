@@ -3,6 +3,8 @@
 //! `format_table`, the layout the bench binaries, `twl-ctl` and
 //! `twl-top` print.
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 
 use twl_telemetry::{SchemeSummary, TelemetryRecord};

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Wear-leveling abstractions shared by every scheme in `tossup-wl`.
 //!

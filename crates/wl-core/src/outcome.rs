@@ -80,6 +80,24 @@ pub struct BatchOutcome {
     pub failure: Option<twl_pcm::PcmError>,
 }
 
+impl From<Result<WriteOutcome, twl_pcm::PcmError>> for BatchOutcome {
+    /// One scalar `write` as a batch of one.
+    fn from(result: Result<WriteOutcome, twl_pcm::PcmError>) -> Self {
+        match result {
+            Ok(outcome) => Self {
+                serviced: 1,
+                last: Some(outcome),
+                failure: None,
+            },
+            Err(e) => Self {
+                serviced: 0,
+                last: None,
+                failure: Some(e),
+            },
+        }
+    }
+}
+
 /// Result of servicing one logical read.
 ///
 /// Reads never wear PCM; the outcome only reports where the data lives

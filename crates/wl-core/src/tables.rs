@@ -1,6 +1,6 @@
 //! Address-mapping and counter tables (RT, WNT/WCT of the paper).
 
-use twl_pcm::{LogicalPageAddr, PhysicalPageAddr};
+use twl_pcm::{table, LogicalPageAddr, PhysicalPageAddr};
 
 /// The remapping table (RT): a bijection between logical and physical
 /// page addresses with a maintained inverse.
@@ -36,10 +36,9 @@ impl RemappingTable {
     #[must_use]
     pub fn identity(pages: u64) -> Self {
         assert!(pages > 0, "remapping table cannot be empty");
-        let forward: Vec<u64> = (0..pages).collect();
         Self {
-            inverse: forward.clone(),
-            forward,
+            forward: table::collected(pages as usize, 0..pages),
+            inverse: table::collected(pages as usize, 0..pages),
         }
     }
 
@@ -146,7 +145,7 @@ impl WriteCounterTable {
     #[must_use]
     pub fn new(pages: u64) -> Self {
         Self {
-            counts: vec![0; pages as usize],
+            counts: table::filled(pages as usize, 0),
         }
     }
 

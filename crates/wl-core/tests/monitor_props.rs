@@ -2,6 +2,8 @@
 //! sketch invariants (including the decrement-all eviction path) and
 //! `AttackMonitor` window-rollover accounting.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use std::collections::HashMap;
 use twl_pcm::LogicalPageAddr;

@@ -5,6 +5,8 @@
 //! metrics registry is not shared with unrelated tests; assertions are
 //! still delta-based for robustness.
 
+#![forbid(unsafe_code)]
+
 use twl_pcm::LogicalPageAddr;
 use twl_telemetry::counter;
 use twl_wl_core::AttackMonitor;

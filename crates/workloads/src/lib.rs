@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Synthetic PARSEC-like workloads for the `tossup-wl` simulator.
 //!

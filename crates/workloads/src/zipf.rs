@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex, OnceLock};
+use twl_pcm::table;
 use twl_rng::SimRng;
 
 /// A Zipf sampler over ranks `0..n` with exponent `alpha ≥ 0`:
@@ -55,7 +56,7 @@ impl Zipf {
             alpha.is_finite() && alpha >= 0.0,
             "alpha must be non-negative"
         );
-        let mut cdf = Vec::with_capacity(n as usize);
+        let mut cdf = table::with_capacity(n as usize);
         let mut acc = 0.0;
         for k in 0..n {
             acc += 1.0 / ((k + 1) as f64).powf(alpha);
@@ -113,7 +114,7 @@ impl Zipf {
 fn guide_table(cdf: &[f64]) -> Vec<u32> {
     let n = cdf.len();
     let m = 1usize << (n - 1).checked_ilog2().unwrap_or(0);
-    let mut guide = Vec::with_capacity(m + 1);
+    let mut guide = table::with_capacity(m + 1);
     let mut k = 0;
     for j in 0..m {
         let edge = j as f64 / m as f64;

@@ -5,6 +5,8 @@
 //! files, fleet cell keys, and `twl-ctl --workloads` all lean on —
 //! the workload mirror of `twl-lifetime`'s scheme-spec round trip.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use twl_attacks::AttackKind;
 use twl_workloads::{

@@ -8,6 +8,8 @@
 //!
 //! Run: `cargo run --release --example attack_demo`
 
+#![forbid(unsafe_code)]
+
 use tossup_wl::attacks::{Attack, AttackKind, AttackStream};
 use tossup_wl::baselines::{BloomFilterWl, BwlConfig};
 use tossup_wl::pcm::{PcmConfig, PcmDevice, PhysicalPageAddr};

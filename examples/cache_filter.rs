@@ -7,6 +7,8 @@
 //!
 //! Run: `cargo run --release --example cache_filter`
 
+#![forbid(unsafe_code)]
+
 use tossup_wl::cache::{CacheHierarchy, CpuWorkload, CpuWorkloadConfig};
 use tossup_wl::pcm::{LogicalPageAddr, PcmConfig, PcmDevice};
 use tossup_wl::twl::{TossUpWearLeveling, TwlConfig};

@@ -3,6 +3,8 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
+#![forbid(unsafe_code)]
+
 use tossup_wl::attacks::AttackKind;
 use tossup_wl::lifetime::{gmean_years, lifetime_matrix, Calibration, SchemeKind, SimLimits};
 use tossup_wl::pcm::{PcmConfig, PcmDevice};

@@ -6,6 +6,8 @@
 //!
 //! Run: `cargo run --release --example server_lifetime [-- <benchmark>]`
 
+#![forbid(unsafe_code)]
+
 use std::env;
 use tossup_wl::lifetime::{run_lifetime_cell, Calibration, SchemeKind, SimLimits};
 use tossup_wl::pcm::PcmConfig;

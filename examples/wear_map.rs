@@ -10,6 +10,8 @@
 //! Run: `cargo run --release --example wear_map`
 //! Then: `cargo run --release --bin twl-stats -- results/wear_map.trace.jsonl`
 
+#![forbid(unsafe_code)]
+
 use tossup_wl::lifetime::{build_scheme_spec, SchemeKind};
 use tossup_wl::pcm::{PcmConfig, PcmDevice, PhysicalPageAddr};
 use tossup_wl::telemetry::{JsonlSink, TelemetryRecord, WearMapSampler};

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # tossup-wl — Toss-up Wear Leveling for Phase-Change Memories
 //!

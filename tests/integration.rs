@@ -2,6 +2,8 @@
 //! exercised through the public facade, asserting the paper's headline
 //! qualitative results.
 
+#![forbid(unsafe_code)]
+
 use tossup_wl::attacks::{Attack, AttackKind};
 use tossup_wl::lifetime::{build_scheme_spec, run_attack, Calibration, SchemeKind, SimLimits};
 use tossup_wl::pcm::{PcmConfig, PcmDevice};

@@ -11,6 +11,8 @@
 //! The paper's indices are 1-based; this test uses 0-based `LA0..LA3` /
 //! `PA0..PA3` with the same roles (paper's LA1 = our LA0, etc.).
 
+#![forbid(unsafe_code)]
+
 use tossup_wl::baselines::{WearRateLeveling, WrlConfig};
 use tossup_wl::pcm::{EnduranceMap, LogicalPageAddr, PcmConfig, PcmDevice, PhysicalPageAddr};
 use tossup_wl::wl::WearLeveler;

@@ -2,6 +2,8 @@
 //! through the cache hierarchy into a wear-leveled device, checkpointed
 //! simulations, and the attack monitor running beside a live attack.
 
+#![forbid(unsafe_code)]
+
 use tossup_wl::attacks::{Attack, AttackKind, AttackStream};
 use tossup_wl::cache::{CacheHierarchy, CpuWorkload, CpuWorkloadConfig};
 use tossup_wl::lifetime::{build_scheme_spec, SchemeKind};

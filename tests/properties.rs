@@ -9,6 +9,8 @@
 //! write accounted) and the statistical contracts of the substrate
 //! (Feistel bijectivity, toss-up proportions, Zipf calibration).
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use std::collections::HashSet;
 use tossup_wl::lifetime::{build_scheme_spec, SchemeKind};

@@ -11,6 +11,8 @@
 //! Each daemon runs in process, one shared instance per configuration
 //! for the whole binary, and is poked with raw TCP writes.
 
+#![forbid(unsafe_code)]
+
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::OnceLock;
