@@ -57,12 +57,7 @@ impl Zipf {
             "alpha must be non-negative"
         );
         let mut cdf = table::with_capacity(n as usize);
-        let mut acc = 0.0;
-        for k in 0..n {
-            acc += 1.0 / ((k + 1) as f64).powf(alpha);
-            cdf.push(acc);
-        }
-        let total = acc;
+        let total = sum_masses(n, alpha, Some(&mut cdf));
         for v in &mut cdf {
             *v /= total;
         }
@@ -139,20 +134,40 @@ static SOLVED_ALPHAS: LazyLock<Mutex<HashMap<(u64, u64), SolvedAlpha>>> =
 type SolvedAlpha = Arc<OnceLock<f64>>;
 
 /// Finds the Zipf exponent for which the hottest of `footprint` ranks
-/// carries probability `hot_share`, by bisection.
+/// carries probability `hot_share`.
 ///
 /// This is the calibration knob that turns Table 2's
 /// `ideal lifetime / lifetime-without-WL` ratio into a concrete locality
 /// model: under no wear leveling, lifetime is governed by the hottest
 /// page's share of the write traffic (see `twl-workloads` crate docs).
 ///
+/// The result is defined by a 60-step bisection of `[0, 8]`: a midpoint
+/// goes low when `Zipf::new(footprint, mid).hottest_share() < hot_share`,
+/// and the answer is the final interval's midpoint. Each test is an exact
+/// sum over every rank, so the solve makes as few as it can and still
+/// returns the bisection's bits:
+/// 1. *Bracket.* A secant, started from two fixed exponents, closes in
+///    on the root. Every test narrows a bracket of two exactly tested
+///    exponents `a < b` with `share(a) < hot_share <= share(b)`, until
+///    they lie a few ulps apart.
+/// 2. *Replay.* The bisection runs unchanged, deciding a midpoint at or
+///    below `a` low and one at or above `b` high with no sum. Only a
+///    midpoint strictly inside `(a, b)` needs a test, and it narrows the
+///    bracket. A secant step that would leave the bracket is replaced by
+///    the replay's next such midpoint, so the fallback costs no extra sum.
+///
+/// The replay is exact because the share never decreases as the exponent
+/// grows: `powf(k, alpha)` never decreases in `alpha` for `k >= 1`, and
+/// f64 division, addition and rounding are all monotone, so each rank's
+/// mass, the normalizing sum and its reciprocal move one way. A paper-scale
+/// solve (4.2 M ranks) makes about 8–11 sums where the bisection makes 60.
+///
 /// The result is a pure function of its arguments and is memoized for
 /// the life of the process per `(hot_share, footprint)`: the first call
-/// with a key solves it (about 6 s at the paper's 4.2 M-page canneal
-/// footprint), and every later call, from any thread, returns the same
-/// bits. A call that arrives while another thread is solving the same
-/// key waits for that solve instead of repeating it; no lock is held
-/// while solving, so other keys proceed in parallel.
+/// with a key solves it, and every later call, from any thread, returns
+/// the same bits. A call that arrives while another thread is solving
+/// the same key waits for that solve instead of repeating it; no lock is
+/// held while solving, so other keys proceed in parallel.
 ///
 /// # Panics
 ///
@@ -183,34 +198,149 @@ pub fn zipf_alpha_for_hot_share(hot_share: f64, footprint: u64) -> f64 {
             .entry((hot_share.to_bits(), footprint))
             .or_default(),
     );
-    *cell.get_or_init(|| solve_alpha(hot_share, footprint))
+    *cell.get_or_init(|| solve_alpha(hot_share, footprint).0)
 }
 
-/// The bisection behind [`zipf_alpha_for_hot_share`].
-fn solve_alpha(hot_share: f64, footprint: u64) -> f64 {
-    let (mut lo, mut hi) = (0.0f64, 8.0f64);
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if hottest_share(footprint, mid) < hot_share {
-            lo = mid;
+/// The bisection that defines [`zipf_alpha_for_hot_share`]'s result
+/// halves `[0, BISECTION_HI]` this many times.
+const BISECTION_STEPS: u32 = 60;
+
+/// Upper end of the bisection's interval; `share(8) > 0.995` for every
+/// footprint, above any achievable target.
+const BISECTION_HI: f64 = 8.0;
+
+/// Width of the bisection's final interval: a bracket narrower than this
+/// cannot save a sum.
+const BISECTION_WIDTH: f64 = BISECTION_HI / (1u64 << BISECTION_STEPS) as f64;
+
+/// The secant's two fixed starting exponents, in the range the Table 2
+/// calibrations land in (about 0.14 at 8.4 M pages to 0.72 at 1024).
+const SECANT_START: [f64; 2] = [0.25, 0.75];
+
+/// Cap on secant steps. With the two starts, no share costs more than
+/// `2 + MAX_SECANT_STEPS` sums beyond the bisection's own.
+const MAX_SECANT_STEPS: u32 = 24;
+
+/// Solves [`zipf_alpha_for_hot_share`]'s bisection by bracket and replay,
+/// and counts the exact normalizer sums it made.
+fn solve_alpha(hot_share: f64, footprint: u64) -> (f64, u32) {
+    // The secant works on `ln(1/share - 1)`, the log of the normalizer
+    // less rank 0's mass: nearly linear in the exponent at both ends
+    // (`(1 - alpha) ln n` for a flat law, `-alpha ln 2` for a steep one).
+    let target = (1.0 / hot_share - 1.0).ln();
+    let mut sums = 0;
+    // One exact sum: whether `alpha` goes low, by the bisection's own
+    // comparison, and the secant's gap to the target (rising with alpha).
+    let mut test = |alpha: f64| {
+        sums += 1;
+        let share = hottest_share(footprint, alpha);
+        (share < hot_share, target - (1.0 / share - 1.0).ln())
+    };
+    // Invariant: `share(a) < hot_share <= share(b)`, each end exactly
+    // tested or an end of the bisection's interval (which it never tests).
+    let (mut a, mut b) = (0.0, BISECTION_HI);
+    // The last two tests `(alpha, gap, low)`, newest last.
+    let mut last = [(0.0, 0.0, true); 2];
+    let mut starts = SECANT_START.into_iter();
+    let mut secant_steps = 0;
+    loop {
+        let mid = match replay(a, b) {
+            Replay::Solved(alpha) => return (alpha, sums),
+            Replay::Undecided(mid) => mid,
+        };
+        let alpha = starts.next().unwrap_or_else(|| {
+            let step = (secant_steps < MAX_SECANT_STEPS)
+                .then(|| secant(last))
+                .filter(|&x| x > a && x < b);
+            secant_steps += u32::from(step.is_some());
+            // A step that leaves the bracket falls back to the replay's
+            // next undecided midpoint, a sum the replay needs anyway.
+            step.unwrap_or(mid)
+        });
+        let (low, gap) = test(alpha);
+        if low {
+            a = a.max(alpha);
         } else {
+            b = b.min(alpha);
+        }
+        last = [last[1], (alpha, gap, low)];
+    }
+}
+
+/// The secant's next exponent from the last two tests, stepping from the
+/// newer one toward the target's side. Where the gap is flat or falls (a
+/// plateau of the rounded sum), it gallops to twice the last spacing. A
+/// step is never below one [`resolution`], so a one-sided approach soon
+/// crosses over and closes the bracket.
+fn secant([(x0, g0, _), (x1, g1, low)]: [(f64, f64, bool); 2]) -> f64 {
+    let slope = (g1 - g0) / (x1 - x0);
+    let reach = if slope > 0.0 {
+        (g1 / slope).abs()
+    } else {
+        2.0 * (x1 - x0).abs()
+    };
+    let step = reach.max(resolution(x1));
+    if low {
+        x1 + step
+    } else {
+        x1 - step
+    }
+}
+
+/// The smallest exponent step that can change a bisection decision near
+/// `alpha`: one ulp, but never below the bisection's final width.
+fn resolution(alpha: f64) -> f64 {
+    (alpha.next_up() - alpha).max(BISECTION_WIDTH)
+}
+
+/// Where the bisection stands given the bracket `a < b`.
+enum Replay {
+    /// Every midpoint was decided by the bracket; this is the result.
+    Solved(f64),
+    /// The first midpoint strictly inside `(a, b)`: it needs a sum.
+    Undecided(f64),
+}
+
+/// Runs the bisection of `[0, BISECTION_HI]` deciding each midpoint from
+/// the bracket alone: at or below `a` it goes low (`share(mid) <=
+/// share(a) < hot_share`), at or above `b` high. Exact as long as the
+/// share never decreases in the exponent (see
+/// [`zipf_alpha_for_hot_share`]).
+fn replay(a: f64, b: f64) -> Replay {
+    let (mut lo, mut hi) = (0.0f64, BISECTION_HI);
+    for _ in 0..BISECTION_STEPS {
+        let mid = 0.5 * (lo + hi);
+        if mid <= a {
+            lo = mid;
+        } else if mid >= b {
             hi = mid;
+        } else {
+            return Replay::Undecided(mid);
         }
     }
-    0.5 * (lo + hi)
+    Replay::Solved(0.5 * (lo + hi))
 }
 
-/// `Zipf::new(n, alpha).hottest_share()` without building the CDF.
-///
-/// The normalizing sum runs in `Zipf::new`'s order, and rank 0's
-/// unnormalized mass is exactly `1.0` (`1^alpha == 1`), so the quotient
-/// is bit-equal to `cdf[0] = acc₀ / total`.
-fn hottest_share(n: u64, alpha: f64) -> f64 {
-    let mut total = 0.0;
-    for k in 0..n {
-        total += 1.0 / ((k + 1) as f64).powf(alpha);
+/// Sums the unnormalized masses `1 / (k+1)^alpha` over ranks `0..n` in
+/// rank order and returns the total, the normalizer. With `running`, it
+/// also pushes each running sum there: `Zipf::new`'s CDF before it
+/// divides by the total. Rank 0's mass is exactly `1.0` (`1^alpha == 1`).
+fn sum_masses(n: u64, alpha: f64, mut running: Option<&mut Vec<f64>>) -> f64 {
+    let mut acc = 0.0;
+    for k in 1..=n {
+        acc += 1.0 / (k as f64).powf(alpha);
+        if let Some(sums) = running.as_mut() {
+            sums.push(acc);
+        }
     }
-    1.0 / total
+    acc
+}
+
+/// `Zipf::new(n, alpha).hottest_share()` without building the CDF: the
+/// same sum in the same order, and rank 0's running sum is `1.0`, so
+/// `1 / total` is `cdf[0]` bit for bit.
+fn hottest_share(n: u64, alpha: f64) -> f64 {
+    1.0 / sum_masses(n, alpha, None)
 }
 
 #[cfg(test)]
@@ -329,6 +459,75 @@ mod tests {
             // is served from the memo; both must be the reference bits.
             assert_eq!(zipf_alpha_for_hot_share(share, footprint).to_bits(), want);
             assert_eq!(zipf_alpha_for_hot_share(share, footprint).to_bits(), want);
+        }
+    }
+
+    /// Table 2's calibration keys at `pages`: each benchmark's hot share
+    /// over a footprint of half the device, as `ParsecBenchmark::workload`
+    /// asks for them.
+    fn table2_keys(pages: u64) -> impl Iterator<Item = (f64, u64)> {
+        crate::ParsecBenchmark::ALL
+            .into_iter()
+            .map(move |bench| (bench.locality_ratio() / pages as f64, pages / 2))
+    }
+
+    #[test]
+    fn bracket_and_replay_returns_the_bisection_bits_in_few_sums() {
+        let edge_keys = [
+            (0.6, 2),
+            (0.5f64.next_up(), 2),
+            (0.99f64.next_down(), 2),
+            (0.4, 3),
+            ((1.0f64 / 3.0).next_up(), 3),
+            (0.99f64.next_down(), 3),
+            ((1.0f64 / 4096.0).next_up(), 4096),
+            (0.989, 4096),
+        ];
+        let keys: Vec<(f64, u64)> = [1024, 4096, 8192, 65_536]
+            .into_iter()
+            .flat_map(table2_keys)
+            .chain(edge_keys)
+            .collect();
+        let mut total_sums = 0;
+        for &(share, footprint) in &keys {
+            let (alpha, sums) = solve_alpha(share, footprint);
+            assert_eq!(
+                alpha.to_bits(),
+                reference_alpha(share, footprint).to_bits(),
+                "share {share:e} footprint {footprint}"
+            );
+            total_sums += sums;
+        }
+        let mean = f64::from(total_sums) / keys.len() as f64;
+        // The bisection makes one sum per step.
+        assert!(mean <= 20.0, "mean {mean} exact sums, against 60");
+    }
+
+    #[test]
+    fn paper_scale_canneal_alpha_is_pinned() {
+        // The bits the 60-sum bisection returns for canneal on the
+        // paper's 8,388,608-page device (4,194,304-page footprint).
+        let share = crate::ParsecBenchmark::Canneal.locality_ratio() / 8_388_608.0;
+        assert_eq!(
+            zipf_alpha_for_hot_share(share, 4_194_304).to_bits(),
+            0x3fce_98f0_1f78_c78c
+        );
+    }
+
+    #[test]
+    fn share_never_decreases_next_to_solved_exponents() {
+        // The replay's premise, walked 64 floats either side of each root.
+        let spread = [0.001, 0.01, 0.1, 0.5];
+        let keys = table2_keys(8192).chain(spread.map(|share| (share, 65_537)));
+        for (share, n) in keys {
+            let alpha = zipf_alpha_for_hot_share(share, n);
+            let start = (0..64).fold(alpha, |x, _| x.next_down());
+            let walk = std::iter::successors(Some(start), |x| Some(x.next_up())).take(129);
+            let shares: Vec<f64> = walk.map(|x| hottest_share(n, x)).collect();
+            assert!(
+                shares.windows(2).all(|w| w[0] <= w[1]),
+                "share falls next to alpha {alpha} (n {n})"
+            );
         }
     }
 
