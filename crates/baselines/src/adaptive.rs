@@ -103,6 +103,8 @@ impl WearLeveler for AdaptiveSecurityRefresh {
         self.sr.write_batch_cap(wear_margin)
     }
 
+    // The quiet-stretch hooks stay at their defaults: every write must
+    // pass the attack monitor below, so batches run the scalar loop.
     fn write(
         &mut self,
         la: LogicalPageAddr,

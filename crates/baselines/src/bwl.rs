@@ -16,7 +16,7 @@
 
 use crate::{BloomFilter, CountingBloomFilter};
 use twl_pcm::{table, LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
-use twl_wl_core::{BatchOutcome, ReadOutcome, RemappingTable, WearLeveler, WlStats, WriteOutcome};
+use twl_wl_core::{ReadOutcome, RemappingTable, WearLeveler, WlStats, WriteOutcome};
 
 /// A persistent hot-list entry: survives epochs until it misses the
 /// (halved) threshold three times in a row, which damps boundary
@@ -613,70 +613,43 @@ impl WearLeveler for BloomFilterWl {
         Ok(outcome)
     }
 
-    fn write_batch(&mut self, la: LogicalPageAddr, n: u64, device: &mut PcmDevice) -> BatchOutcome {
-        let mut batch = BatchOutcome::default();
-        let mut remaining = n;
-        while remaining > 0 {
-            // Everything strictly before the epoch boundary is a plain
-            // write plus detection-state updates that all have exact
-            // O(k) bulk forms: the membership insert is idempotent, the
-            // CBF collapses via `insert_n`, and the hot-list push
-            // condition is monotone in the estimate, so checking it once
-            // at the segment end selects the same pages the per-write
-            // path would (the list itself cannot change mid-segment).
-            let to_epoch = self.config.epoch_writes - self.epoch_write_count;
-            let plain = remaining.min(to_epoch - 1);
-            if plain > 0 {
-                let pa = self.rt.translate(la);
-                let bulk = device.write_page_n(pa, plain);
-                if bulk.landed > 0 {
-                    self.written.insert(la.index());
-                    let est = self.cbf.insert_n(la.index(), bulk.landed);
-                    if est >= self.hot_threshold
-                        && self.hot_list.len() < self.config.max_tracked
-                        && !self.hot_list.iter().any(|e| e.la == la)
-                    {
-                        self.hot_list.push(HotEntry {
-                            la,
-                            estimate: est,
-                            misses: 0,
-                        });
-                    }
-                    self.epoch_write_count += bulk.landed;
-                    let outcome = WriteOutcome {
-                        pa,
-                        device_writes: 1,
-                        swapped: false,
-                        engine_cycles: 3 * self.config.access_latency,
-                        blocking_cycles: 0,
-                    };
-                    self.stats.record_write_n(&outcome, bulk.landed);
-                    batch.serviced += bulk.landed;
-                    batch.last = Some(outcome);
-                }
-                if let Some(e) = bulk.failure {
-                    batch.failure = Some(e);
-                    return batch;
-                }
-                remaining -= plain;
-                if remaining == 0 {
-                    break;
-                }
-            }
-            // The epoch-closing write runs through the scalar path.
-            match self.write(la, device) {
-                Ok(outcome) => {
-                    batch.serviced += 1;
-                    batch.last = Some(outcome);
-                    remaining -= 1;
-                }
-                Err(e) => {
-                    batch.failure = Some(e);
-                    return batch;
-                }
-            }
+    fn quiet_writes(&self, la: LogicalPageAddr) -> (PhysicalPageAddr, u64) {
+        // Every write strictly before the epoch boundary is a plain
+        // write to the current frame plus detection-state updates.
+        let to_epoch = self.config.epoch_writes - self.epoch_write_count;
+        (self.rt.translate(la), to_epoch - 1)
+    }
+
+    #[inline]
+    fn record_quiet(&mut self, la: LogicalPageAddr, pa: PhysicalPageAddr, n: u64) -> WriteOutcome {
+        // The detection updates of `n` writes have exact O(k) bulk
+        // forms: the membership insert is idempotent, the CBF collapses
+        // via `insert_n`, and the hot-list push condition is monotone in
+        // the estimate, so checking it once at the stretch end selects
+        // the same pages the per-write path would (the list itself
+        // cannot change mid-stretch).
+        self.written.insert(la.index());
+        let est = self.cbf.insert_n(la.index(), n);
+        if est >= self.hot_threshold
+            && self.hot_list.len() < self.config.max_tracked
+            && !self.hot_list.iter().any(|e| e.la == la)
+        {
+            self.hot_list.push(HotEntry {
+                la,
+                estimate: est,
+                misses: 0,
+            });
         }
-        batch
+        self.epoch_write_count += n;
+        let outcome = WriteOutcome {
+            pa,
+            device_writes: 1,
+            swapped: false,
+            engine_cycles: 3 * self.config.access_latency,
+            blocking_cycles: 0,
+        };
+        self.stats.record_write_n(&outcome, n);
+        outcome
     }
 
     fn read(&mut self, la: LogicalPageAddr, device: &PcmDevice) -> Result<ReadOutcome, PcmError> {

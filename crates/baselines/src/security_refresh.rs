@@ -19,7 +19,7 @@ use std::error::Error;
 use std::fmt;
 use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
 use twl_rng::{SimRng, SplitMix64, Xoshiro256StarStar};
-use twl_wl_core::{BatchOutcome, ReadOutcome, WearLeveler, WlStats, WriteOutcome};
+use twl_wl_core::{ReadOutcome, WearLeveler, WlStats, WriteOutcome};
 
 /// Error returned for invalid [`SrConfig`] parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -404,87 +404,54 @@ impl WearLeveler for SecurityRefresh {
         Ok(outcome)
     }
 
-    /// Event-skipping fast path. Between refresh events nothing in SR
-    /// moves: both levels' mappings are functions of `(k0, k1, rp)`,
-    /// which only change when a level's write counter crosses a
-    /// multiple of its interval, and the counters advance by exactly
-    /// one per serviced write. So the stretch until the next event on
-    /// *either* level is a run of identical plain writes to one frame —
-    /// bulk-written in O(1) — and the event-carrying write itself runs
-    /// through the scalar path.
-    fn write_batch(&mut self, la: LogicalPageAddr, n: u64, device: &mut PcmDevice) -> BatchOutcome {
-        let mut batch = BatchOutcome::default();
-        let mut remaining = n;
-        while remaining > 0 {
-            // Mapping state is stable here (between events), so the
-            // region and frame hold for the whole quiet stretch.
-            let m = if self.config.two_level {
-                self.outer.map(la.index())
-            } else {
-                la.index()
-            };
-            let region = (m >> self.inner_bits) as usize;
-            let inner = &self.inner[region];
-            // Writes until a level's counter next hits a multiple of
-            // its interval (`i - w % i`, which is `i` right after an
-            // event). The outer level never fires when disabled — its
-            // counter does not advance on the scalar path either.
-            let until_inner = inner.interval - inner.writes % inner.interval;
-            let until_outer = if self.config.two_level {
-                self.outer.interval - self.outer.writes % self.outer.interval
-            } else {
-                u64::MAX
-            };
-            let quiet = until_inner.min(until_outer) - 1;
-            let bulk = quiet.min(remaining);
-            if bulk > 0 {
-                let pa = self.frame_of_intermediate(m);
-                let levels = if self.config.two_level { 2 } else { 1 };
-                let outcome = WriteOutcome {
-                    pa,
-                    device_writes: 1,
-                    swapped: false,
-                    engine_cycles: self.config.remap_latency * levels,
-                    blocking_cycles: 0,
-                };
-                let done = device.write_page_n(pa, bulk);
-                // The scalar path bumps the counters and records stats
-                // only after a successful device write, so a mid-bulk
-                // wear-out credits exactly the writes that landed.
-                self.inner[region].writes += done.landed;
-                if self.config.two_level {
-                    self.outer.writes += done.landed;
-                }
-                self.stats.record_write_n(&outcome, done.landed);
-                batch.serviced += done.landed;
-                if done.landed > 0 {
-                    batch.last = Some(outcome);
-                }
-                if let Some(e) = done.failure {
-                    batch.failure = Some(e);
-                    return batch;
-                }
-                remaining -= bulk;
-            }
-            if remaining == 0 {
-                break;
-            }
-            // The next write fires a refresh event on at least one
-            // level; the scalar path handles the swap writes and their
-            // accounting exactly.
-            match self.write(la, device) {
-                Ok(outcome) => {
-                    batch.serviced += 1;
-                    batch.last = Some(outcome);
-                    remaining -= 1;
-                }
-                Err(e) => {
-                    batch.failure = Some(e);
-                    return batch;
-                }
-            }
-        }
-        batch
+    /// Between refresh events nothing in SR moves: both levels'
+    /// mappings are functions of `(k0, k1, rp)`, which only change when
+    /// a level's write counter crosses a multiple of its interval, and
+    /// the counters advance by exactly one per serviced write. So the
+    /// stretch until the next event on *either* level is a run of
+    /// identical plain writes to one frame.
+    fn quiet_writes(&self, la: LogicalPageAddr) -> (PhysicalPageAddr, u64) {
+        let m = if self.config.two_level {
+            self.outer.map(la.index())
+        } else {
+            la.index()
+        };
+        let inner = &self.inner[(m >> self.inner_bits) as usize];
+        // Writes until a level's counter next hits a multiple of its
+        // interval (`i - w % i`, which is `i` right after an event). The
+        // outer level never fires when disabled — its counter does not
+        // advance on the scalar path either.
+        let until_inner = inner.interval - inner.writes % inner.interval;
+        let until_outer = if self.config.two_level {
+            self.outer.interval - self.outer.writes % self.outer.interval
+        } else {
+            u64::MAX
+        };
+        (
+            self.frame_of_intermediate(m),
+            until_inner.min(until_outer) - 1,
+        )
+    }
+
+    #[inline]
+    fn record_quiet(&mut self, _: LogicalPageAddr, pa: PhysicalPageAddr, n: u64) -> WriteOutcome {
+        // The frame's high bits are its inner region.
+        self.inner[(pa.index() >> self.inner_bits) as usize].writes += n;
+        let levels = if self.config.two_level {
+            self.outer.writes += n;
+            2
+        } else {
+            1
+        };
+        let outcome = WriteOutcome {
+            pa,
+            device_writes: 1,
+            swapped: false,
+            engine_cycles: self.config.remap_latency * levels,
+            blocking_cycles: 0,
+        };
+        self.stats.record_write_n(&outcome, n);
+        outcome
     }
 
     fn read(&mut self, la: LogicalPageAddr, device: &PcmDevice) -> Result<ReadOutcome, PcmError> {

@@ -9,7 +9,7 @@
 
 use twl_pcm::{table, LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
 use twl_rng::FeistelPermutation;
-use twl_wl_core::{BatchOutcome, ReadOutcome, WearLeveler, WlStats, WriteOutcome};
+use twl_wl_core::{ReadOutcome, WearLeveler, WlStats, WriteOutcome};
 
 /// Configuration of [`StartGap`].
 ///
@@ -214,54 +214,25 @@ impl WearLeveler for StartGap {
         Ok(outcome)
     }
 
-    fn write_batch(&mut self, la: LogicalPageAddr, n: u64, device: &mut PcmDevice) -> BatchOutcome {
-        let mut batch = BatchOutcome::default();
-        let mut remaining = n;
-        while remaining > 0 {
-            // Between gap movements the translation is frozen, so every
-            // write up to (not including) the next interval boundary is
-            // a plain wear bump on the same frame.
-            let to_gap = self.config.gap_interval - self.writes % self.config.gap_interval;
-            let plain = remaining.min(to_gap - 1);
-            if plain > 0 {
-                let pa = self.translate(la);
-                let bulk = device.write_page_n(pa, plain);
-                self.writes += bulk.landed;
-                if bulk.landed > 0 {
-                    let outcome = WriteOutcome {
-                        pa,
-                        device_writes: 1,
-                        swapped: false,
-                        engine_cycles: self.config.remap_latency,
-                        blocking_cycles: 0,
-                    };
-                    self.stats.record_write_n(&outcome, bulk.landed);
-                    batch.serviced += bulk.landed;
-                    batch.last = Some(outcome);
-                }
-                if let Some(e) = bulk.failure {
-                    batch.failure = Some(e);
-                    return batch;
-                }
-                remaining -= plain;
-                if remaining == 0 {
-                    break;
-                }
-            }
-            // The gap-moving write runs through the scalar path.
-            match self.write(la, device) {
-                Ok(outcome) => {
-                    batch.serviced += 1;
-                    batch.last = Some(outcome);
-                    remaining -= 1;
-                }
-                Err(e) => {
-                    batch.failure = Some(e);
-                    return batch;
-                }
-            }
-        }
-        batch
+    fn quiet_writes(&self, la: LogicalPageAddr) -> (PhysicalPageAddr, u64) {
+        // Between gap movements the translation is frozen, so every
+        // write up to (not including) the next interval boundary is a
+        // plain wear bump on the same frame.
+        let to_gap = self.config.gap_interval - self.writes % self.config.gap_interval;
+        (self.translate(la), to_gap - 1)
+    }
+
+    fn record_quiet(&mut self, _: LogicalPageAddr, pa: PhysicalPageAddr, n: u64) -> WriteOutcome {
+        self.writes += n;
+        let outcome = WriteOutcome {
+            pa,
+            device_writes: 1,
+            swapped: false,
+            engine_cycles: self.config.remap_latency,
+            blocking_cycles: 0,
+        };
+        self.stats.record_write_n(&outcome, n);
+        outcome
     }
 
     fn read(&mut self, la: LogicalPageAddr, device: &PcmDevice) -> Result<ReadOutcome, PcmError> {

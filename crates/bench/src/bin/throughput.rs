@@ -272,8 +272,8 @@ fn main() {
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out));
     println!("wrote {}", args.out);
 
-    // Schemes without a write_batch fast path (SR, WRL, the hybrids)
-    // run the batched loop at per-write granularity, so their honest
+    // Schemes without quiet stretches (WRL, the hybrids) run the
+    // batched loop at per-write granularity, so their honest
     // speedup is ~1.0x and timing noise swings it a few percent either
     // way; the gate tolerates that while still catching any scheme
     // where batching is a real pessimization.

@@ -161,14 +161,17 @@ impl TossUpWearLeveling {
 
     /// Runs the toss-up + swap judge for a write currently mapped to
     /// `pa`. Returns the page that must receive the request data plus
-    /// the cost incurred.
+    /// the cost incurred. Shared by `write` and `write_batch`, which
+    /// bump the `twl.core` metrics themselves; forced inline into both
+    /// (as is `inter_pair_swap`), since as an out-of-line call it cost
+    /// the batched repeat rate a visible share.
+    #[inline(always)]
     fn toss(
         &mut self,
         pa: PhysicalPageAddr,
         device: &mut PcmDevice,
     ) -> Result<TossResult, PcmError> {
         self.toss_ups += 1;
-        self.metrics.toss_ups.inc();
         let partner = self.pairs.partner(pa);
         let e_here = self.toss_endurance(pa, device);
         let e_partner = self.toss_endurance(partner, device);
@@ -204,7 +207,6 @@ impl TossUpWearLeveling {
             (2, 2 * migrate)
         };
         self.rt.swap_physical(pa, chosen);
-        self.metrics.toss_swaps.inc();
         Ok(TossResult {
             target: chosen,
             migration_writes,
@@ -214,6 +216,9 @@ impl TossUpWearLeveling {
     }
 
     /// Runs the inter-pair swap for a write that just landed at `pa`.
+    /// A swap counts from the moment its target is drawn, so one that
+    /// fails mid-migration is counted too.
+    #[inline(always)]
     fn inter_pair_swap(
         &mut self,
         pa: PhysicalPageAddr,
@@ -230,7 +235,6 @@ impl TossUpWearLeveling {
             });
         }
         self.inter_pair_swaps += 1;
-        self.metrics.inter_pair_swaps.inc();
         // Full content exchange: both frames are rewritten.
         device.write_page(pa)?;
         device.write_page(target)?;
@@ -245,12 +249,24 @@ impl TossUpWearLeveling {
     }
 }
 
-/// Internal result of a toss or inter-pair swap step.
+/// Internal result of a toss or inter-pair swap step. Its blocking
+/// cycles are always `migration_writes` times the migrate latency.
 struct TossResult {
     target: PhysicalPageAddr,
     migration_writes: u32,
     blocking_cycles: u64,
     swapped: bool,
+}
+
+impl TossResult {
+    /// Folds the step into its write's outcome: the frame that now
+    /// holds the data, the migration writes and their blocking.
+    fn apply(&self, outcome: &mut WriteOutcome) {
+        outcome.pa = self.target;
+        outcome.device_writes += self.migration_writes;
+        outcome.blocking_cycles += self.blocking_cycles;
+        outcome.swapped |= self.swapped;
+    }
 }
 
 impl WearLeveler for TossUpWearLeveling {
@@ -279,27 +295,29 @@ impl WearLeveler for TossUpWearLeveling {
         la: LogicalPageAddr,
         device: &mut PcmDevice,
     ) -> Result<WriteOutcome, PcmError> {
-        let mut engine_cycles = self.config.base_write_latency();
-        let mut device_writes = 0u32;
-        let mut blocking_cycles = 0u64;
-        let mut swapped = false;
-
         let count = self.wct.increment(la);
-        let mut pa = self.rt.translate(la);
+        let mut outcome = WriteOutcome {
+            pa: self.rt.translate(la),
+            device_writes: 0,
+            swapped: false,
+            engine_cycles: self.config.base_write_latency(),
+            blocking_cycles: 0,
+        };
 
         // Interval-triggered toss-up (§4.3): the WCT gates the engine.
         if count.is_multiple_of(self.config.toss_up_interval) {
-            engine_cycles += self.config.rng_latency;
-            let toss = self.toss(pa, device)?;
-            device_writes += toss.migration_writes;
-            blocking_cycles += toss.blocking_cycles;
-            swapped |= toss.swapped;
-            pa = toss.target;
+            outcome.engine_cycles += self.config.rng_latency;
+            self.metrics.toss_ups.inc();
+            let toss = self.toss(outcome.pa, device)?;
+            if toss.swapped {
+                self.metrics.toss_swaps.inc();
+            }
+            toss.apply(&mut outcome);
         }
 
         // The request write itself.
-        device.write_page(pa)?;
-        device_writes += 1;
+        device.write_page(outcome.pa)?;
+        outcome.device_writes += 1;
 
         // Inter-pair swap every `inter_pair_swap_interval` global writes
         // (§4.1) distributes traffic between pairs.
@@ -308,24 +326,18 @@ impl WearLeveler for TossUpWearLeveling {
             .global_writes
             .is_multiple_of(self.config.inter_pair_swap_interval)
         {
-            let swap = self.inter_pair_swap(pa, device)?;
-            device_writes += swap.migration_writes;
-            blocking_cycles += swap.blocking_cycles;
-            swapped |= swap.swapped;
-            pa = swap.target;
+            let swap = self.inter_pair_swap(outcome.pa, device);
+            // An error comes from a swap already under way.
+            if swap.as_ref().map_or(true, |swap| swap.swapped) {
+                self.metrics.inter_pair_swaps.inc();
+            }
+            swap?.apply(&mut outcome);
         }
 
-        let outcome = WriteOutcome {
-            pa,
-            device_writes,
-            swapped,
-            engine_cycles,
-            blocking_cycles,
-        };
         self.stats.record_write(&outcome);
         self.metrics.writes.inc();
-        if blocking_cycles > 0 {
-            self.metrics.blocking_cycles.record(blocking_cycles);
+        if outcome.blocking_cycles > 0 {
+            self.metrics.blocking_cycles.record(outcome.blocking_cycles);
         }
         Ok(outcome)
     }
@@ -345,19 +357,17 @@ impl WearLeveler for TossUpWearLeveling {
         let t = self.config.toss_up_interval;
         let s = self.config.inter_pair_swap_interval;
         let base = self.config.base_write_latency();
-        let rng_latency = self.config.rng_latency;
-        let optimized = self.config.optimized_swap;
         let migrate = device.config().timing.migrate_latency();
-        let pages = self.rt.len();
 
         // Statistics and metrics accumulate locally and flush once on
         // every exit path below: the flushed totals are sums, so they
         // are identical to per-write recording, without one atomic
-        // round-trip per event.
+        // round-trip per event. The toss-up and inter-pair counts are
+        // the engine's own counters, which the shared helpers bump.
         let mut acc = WlStats::new();
-        let mut toss_ups = 0u64;
+        let toss_ups_before = self.toss_ups;
+        let inter_swaps_before = self.inter_pair_swaps;
         let mut toss_swaps = 0u64;
-        let mut inter_swaps = 0u64;
         // Deferred table bumps: the loop below never reads the WCT or
         // the global counter (the countdowns carry that state), so both
         // flush as one addition per batch. Plain-stretch statistics are
@@ -365,7 +375,7 @@ impl WearLeveler for TossUpWearLeveling {
         let mut wct_delta = 0u64;
         let mut global_delta = 0u64;
         let mut plain_total = 0u64;
-        // A write's blocking cycles are always a small multiple of the
+        // A write's blocking cycles are its migration writes times the
         // migrate latency (1 for an optimized toss swap, 2 naive or
         // inter-pair, up to 4 with both events on one write); counting
         // per multiple lets the flush replay the exact samples into the
@@ -389,11 +399,11 @@ impl WearLeveler for TossUpWearLeveling {
         // next bulk pass: after toss handling the engine always maps
         // `la` to the frame the request (and the following event-free
         // stretch) must hit, so both fuse into one `write_page_n`. The
-        // held outcome excludes the request write; the `usize` is its
-        // blocking-cycle multiple of the migrate latency.
-        let mut pending: Option<(WriteOutcome, usize)> = None;
+        // held outcome excludes the request write, so its device writes
+        // are the event's migration writes.
+        let mut pending: Option<WriteOutcome> = None;
 
-        'run: loop {
+        batch.failure = 'run: loop {
             // One bulk pass covers the deferred request write (if any)
             // plus every following write strictly before the next
             // toss-up / inter-pair boundary — all plain wear bumps on
@@ -404,23 +414,22 @@ impl WearLeveler for TossUpWearLeveling {
                 let pa = self.rt.translate(la);
                 let bulk = device.write_page_n(pa, stretch + lead);
                 let mut landed = bulk.landed;
-                if let Some((mut outcome, mult)) = pending.take() {
+                if let Some(mut outcome) = pending.take() {
                     if landed == 0 {
                         // The deferred request write itself failed:
                         // exactly as in the scalar path, the event's
                         // outcome goes unrecorded (its migrations still
                         // wore the device) and the bulk error is the
                         // one the request write would have raised.
-                        batch.failure = bulk.failure;
-                        break 'run;
+                        break 'run bulk.failure;
                     }
                     landed -= 1;
+                    if outcome.blocking_cycles > 0 {
+                        blocked[outcome.device_writes as usize] += 1;
+                    }
                     outcome.device_writes += 1;
                     global_delta += 1;
                     acc.record_write(&outcome);
-                    if outcome.blocking_cycles > 0 {
-                        blocked[mult] += 1;
-                    }
                     batch.serviced += 1;
                     batch.last = Some(outcome);
                 }
@@ -437,23 +446,23 @@ impl WearLeveler for TossUpWearLeveling {
                         blocking_cycles: 0,
                     });
                 }
-                if let Some(e) = bulk.failure {
-                    batch.failure = Some(e);
-                    break 'run;
+                if bulk.failure.is_some() {
+                    break 'run bulk.failure;
                 }
                 remaining -= stretch;
                 to_toss -= stretch;
                 to_swap -= stretch;
             }
             if remaining == 0 {
-                break 'run;
+                break 'run None;
             }
 
-            // The event write, inlined from the scalar [`Self::write`]
-            // path: identical order of state updates, device writes and
-            // RNG draws, with stats and metrics folded into the batch
-            // accumulators (and, as in the scalar path, a write that
-            // fails mid-event leaves its own outcome unrecorded).
+            // The event write: the scalar [`Self::write`] path's state
+            // updates, device writes and RNG draws in the same order,
+            // through the same helpers, with stats and metrics folded
+            // into the batch accumulators (and, as in the scalar path, a
+            // write that fails mid-event leaves its own outcome
+            // unrecorded).
             if self.rng.buffered() == 0 {
                 // Bulk-generate (a chunk of) the draws the rest of the
                 // batch is expected to consume: one per toss-up or
@@ -465,47 +474,22 @@ impl WearLeveler for TossUpWearLeveling {
             }
             wct_delta += 1;
             remaining -= 1;
-            let mut pa = self.rt.translate(la);
-            let mut engine_cycles = base;
-            let mut device_writes = 0u32;
-            let mut blocking_cycles = 0u64;
-            let mut block_mult = 0usize;
-            let mut swapped = false;
+            let mut outcome = WriteOutcome {
+                pa: self.rt.translate(la),
+                device_writes: 0,
+                swapped: false,
+                engine_cycles: base,
+                blocking_cycles: 0,
+            };
 
             if to_toss == 1 {
-                engine_cycles += rng_latency;
-                toss_ups += 1;
-                let partner = self.pairs.partner(pa);
-                let e_here = self.toss_endurance(pa, device);
-                let e_partner = self.toss_endurance(partner, device);
-                let den = e_here + e_partner;
-                let chosen = if den == 0 || self.rng.bernoulli_ratio(e_here, den) {
-                    pa
-                } else {
-                    partner
-                };
-                if chosen != pa {
-                    let migrated = if optimized {
-                        device_writes += 1;
-                        blocking_cycles += migrate;
-                        block_mult += 1;
-                        device.write_page(pa)
-                    } else {
-                        device_writes += 2;
-                        blocking_cycles += 2 * migrate;
-                        block_mult += 2;
-                        device
-                            .write_page(pa)
-                            .and_then(|()| device.write_page(chosen))
-                    };
-                    if let Err(e) = migrated {
-                        batch.failure = Some(e);
-                        break 'run;
+                outcome.engine_cycles += self.config.rng_latency;
+                match self.toss(outcome.pa, device) {
+                    Ok(toss) => {
+                        toss_swaps += u64::from(toss.swapped);
+                        toss.apply(&mut outcome);
                     }
-                    self.rt.swap_physical(pa, chosen);
-                    toss_swaps += 1;
-                    swapped = true;
-                    pa = chosen;
+                    Err(e) => break 'run Some(e),
                 }
                 to_toss = t;
             } else {
@@ -517,77 +501,44 @@ impl WearLeveler for TossUpWearLeveling {
                 // request write into the next bulk pass (it lands on
                 // the frame `la` now maps to, first in line).
                 to_swap -= 1;
-                pending = Some((
-                    WriteOutcome {
-                        pa,
-                        device_writes,
-                        swapped,
-                        engine_cycles,
-                        blocking_cycles,
-                    },
-                    block_mult,
-                ));
+                pending = Some(outcome);
                 continue 'run;
             }
 
             // Inter-pair boundary: the request write must land now so
             // the swap that follows it observes the scalar write order.
-            if let Err(e) = device.write_page(pa) {
-                batch.failure = Some(e);
-                break 'run;
+            if let Err(e) = device.write_page(outcome.pa) {
+                break 'run Some(e);
             }
-            device_writes += 1;
+            outcome.device_writes += 1;
             global_delta += 1;
-
-            let target = PhysicalPageAddr::new(self.rng.next_bounded(pages));
-            if target != pa {
-                inter_swaps += 1;
-                device_writes += 2;
-                blocking_cycles += 2 * migrate;
-                block_mult += 2;
-                if let Err(e) = device
-                    .write_page(pa)
-                    .and_then(|()| device.write_page(target))
-                {
-                    batch.failure = Some(e);
-                    break 'run;
-                }
-                self.rt.swap_physical(pa, target);
-                swapped = true;
-                pa = target;
+            match self.inter_pair_swap(outcome.pa, device) {
+                Ok(swap) => swap.apply(&mut outcome),
+                Err(e) => break 'run Some(e),
             }
             to_swap = s;
 
-            let outcome = WriteOutcome {
-                pa,
-                device_writes,
-                swapped,
-                engine_cycles,
-                blocking_cycles,
-            };
             acc.record_write(&outcome);
-            // `block_mult` is `blocking_cycles / migrate`, tracked by
-            // increments so the hot loop never divides.
-            if blocking_cycles > 0 {
-                blocked[block_mult] += 1;
+            if outcome.blocking_cycles > 0 {
+                blocked[outcome.device_writes as usize - 1] += 1;
             }
             batch.serviced += 1;
             batch.last = Some(outcome);
-        }
+        };
 
         self.wct.add(la, wct_delta);
         self.global_writes += global_delta;
-        self.toss_ups += toss_ups;
-        self.inter_pair_swaps += inter_swaps;
         // Every plain write is one device write at the base latency.
         acc.logical_writes += plain_total;
         acc.device_writes += plain_total;
         acc.engine_cycles += plain_total * base;
         self.stats.absorb(&acc);
         self.metrics.writes.add(batch.serviced);
-        self.metrics.toss_ups.add(toss_ups);
+        self.metrics.toss_ups.add(self.toss_ups - toss_ups_before);
         self.metrics.toss_swaps.add(toss_swaps);
-        self.metrics.inter_pair_swaps.add(inter_swaps);
+        self.metrics
+            .inter_pair_swaps
+            .add(self.inter_pair_swaps - inter_swaps_before);
         for (mult, &count) in blocked.iter().enumerate().skip(1) {
             if count > 0 {
                 self.metrics

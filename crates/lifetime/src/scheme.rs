@@ -558,6 +558,8 @@ fn parse_pairing(value: &str) -> Result<PairingStrategy, String> {
 /// Renames a scheme without touching its behavior: every method
 /// delegates (including `write_batch` and `read`, so fast paths and
 /// latency accounting survive) while `name()` reports the spec label.
+/// Forwarding `write_batch` runs the inner scheme's own loop with its
+/// own quiet-stretch hooks, so those are not forwarded.
 /// Built only for non-default specs — default specs keep the engine's
 /// own name and its exact pre-`SchemeSpec` code path.
 struct Relabeled {

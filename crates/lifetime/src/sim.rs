@@ -519,7 +519,9 @@ impl Regime for Degradation<'_> {
 /// The oracle's view of a scheme: forwards the scalar methods and keeps
 /// the trait's default `write_batch` (a loop over `write`) and
 /// `write_batch_cap` (1), so every batch the loop issues is one scalar
-/// write.
+/// write. It must not forward `quiet_writes` or `record_quiet` either:
+/// with the scheme's quiet stretches the default loop would bulk-write,
+/// and the oracle would silently stop being one.
 struct ScalarScheme<'a>(&'a mut dyn WearLeveler);
 
 impl WearLeveler for ScalarScheme<'_> {

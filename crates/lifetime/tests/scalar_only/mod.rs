@@ -6,7 +6,8 @@ use twl_attacks::AttackStream;
 use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
 use twl_wl_core::{BatchOutcome, ReadOutcome, WearLeveler, WlStats, WriteOutcome};
 
-/// A scheme whose `write_batch` and `write_batch_cap` panic.
+/// A scheme whose `write_batch`, `write_batch_cap` and quiet-stretch
+/// hooks panic.
 pub struct ScalarOnlyScheme(pub Box<dyn WearLeveler>);
 
 impl WearLeveler for ScalarOnlyScheme {
@@ -36,6 +37,14 @@ impl WearLeveler for ScalarOnlyScheme {
 
     fn write_batch_cap(&self, _: u64) -> u64 {
         panic!("the per-write oracle called write_batch_cap")
+    }
+
+    fn quiet_writes(&self, _: LogicalPageAddr) -> (PhysicalPageAddr, u64) {
+        panic!("the per-write oracle called quiet_writes")
+    }
+
+    fn record_quiet(&mut self, _: LogicalPageAddr, _: PhysicalPageAddr, _: u64) -> WriteOutcome {
+        panic!("the per-write oracle called record_quiet")
     }
 
     fn read(&mut self, la: LogicalPageAddr, device: &PcmDevice) -> Result<ReadOutcome, PcmError> {

@@ -1,6 +1,6 @@
 //! The "no wear leveling" baseline (NOWL in the paper's figures).
 
-use crate::{BatchOutcome, ReadOutcome, WearLeveler, WlStats, WriteOutcome};
+use crate::{ReadOutcome, WearLeveler, WlStats, WriteOutcome};
 use twl_pcm::{LogicalPageAddr, PcmDevice, PcmError, PhysicalPageAddr};
 
 /// Identity mapping with zero overhead: logical page *i* is physical
@@ -79,21 +79,15 @@ impl WearLeveler for Nowl {
         Ok(outcome)
     }
 
-    fn write_batch(&mut self, la: LogicalPageAddr, n: u64, device: &mut PcmDevice) -> BatchOutcome {
-        // NOWL has no events at all: the whole batch is one bulk write.
-        let pa = self.translate(la);
-        let bulk = device.write_page_n(pa, n);
-        let mut batch = BatchOutcome {
-            serviced: bulk.landed,
-            last: None,
-            failure: bulk.failure,
-        };
-        if bulk.landed > 0 {
-            let outcome = WriteOutcome::plain(pa);
-            self.stats.record_write_n(&outcome, bulk.landed);
-            batch.last = Some(outcome);
-        }
-        batch
+    fn quiet_writes(&self, la: LogicalPageAddr) -> (PhysicalPageAddr, u64) {
+        // NOWL has no events at all: a whole batch is one quiet stretch.
+        (self.translate(la), u64::MAX)
+    }
+
+    fn record_quiet(&mut self, _: LogicalPageAddr, pa: PhysicalPageAddr, n: u64) -> WriteOutcome {
+        let outcome = WriteOutcome::plain(pa);
+        self.stats.record_write_n(&outcome, n);
+        outcome
     }
 
     fn read(&mut self, la: LogicalPageAddr, device: &PcmDevice) -> Result<ReadOutcome, PcmError> {
