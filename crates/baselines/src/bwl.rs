@@ -108,16 +108,18 @@ impl BwlConfig {
 /// valid — the next epoch simply rebuilds the ranking in full.
 #[derive(Debug, Clone, Default)]
 struct EpochScratch {
-    /// Per-slot remaining endurance as of the last ranking.
-    prev_rem: Vec<u64>,
-    /// Fresh per-slot remaining endurance (scratch for the diff).
-    rem: Vec<u64>,
+    /// Per-slot remaining endurance as of the last ranking; `u32`, as
+    /// remaining endurance is at most the page's `u32` endurance.
+    prev_rem: Vec<u32>,
+    /// Fresh per-slot remaining endurance (scratch for the diff), filled
+    /// by [`PcmDevice::remaining_table`].
+    rem: Vec<u32>,
     /// Managed frames ordered by (remaining desc, index asc).
     frames: Vec<u32>,
     /// Rank of every managed frame within `frames`.
     frame_rank: Vec<u32>,
     /// Changed frames re-keyed for the sorted merge.
-    dirty: Vec<(u64, u32)>,
+    dirty: Vec<(u32, u32)>,
     /// Merge output, swapped with `frames`.
     merge: Vec<u32>,
     /// Bitmap of logical pages currently on the hot list.

@@ -58,16 +58,21 @@ impl Default for StartGapConfig {
 #[derive(Debug, Clone)]
 pub struct StartGap {
     config: StartGapConfig,
-    /// frame_of[l] = current physical frame of logical page l.
-    frame_of: Vec<u64>,
-    /// resident[f] = logical page currently in frame f (None = the gap).
-    resident: Vec<Option<u64>>,
-    gap: u64,
+    /// frame_of[l] = current physical frame of logical page l. Frames
+    /// are `u32`: a scheme covers at most `u32::MAX` frames.
+    frame_of: Vec<u32>,
+    /// resident[f] = logical page currently in frame f, or `GAP` for
+    /// the gap frame (no logical page reaches `u32::MAX`).
+    resident: Vec<u32>,
+    gap: u32,
     perm: Option<FeistelPermutation>,
     writes: u64,
     gap_moves: u64,
     stats: WlStats,
 }
+
+/// The `resident` entry of the gap frame.
+const GAP: u32 = u32::MAX;
 
 impl StartGap {
     /// Creates the scheme over a device of `frames` physical frames
@@ -75,13 +80,20 @@ impl StartGap {
     ///
     /// # Panics
     ///
-    /// Panics if `frames < 2` or `gap_interval == 0`.
+    /// Panics if `frames < 2`, `frames > u32::MAX` or
+    /// `gap_interval == 0`.
     #[must_use]
     pub fn new(config: &StartGapConfig, frames: u64) -> Self {
         assert!(
             frames >= 2,
             "start-gap needs at least one page plus the gap"
         );
+        // The last frame index, which starts as the gap; every logical
+        // page stays below it, and so below `GAP`.
+        let last = u32::try_from(frames - 1)
+            .ok()
+            .filter(|&f| f < GAP)
+            .expect("start-gap indexes frames with u32");
         assert!(config.gap_interval > 0, "gap interval must be positive");
         let logical = frames - 1;
         // Static randomization domain: the next power of two ≥ logical;
@@ -102,18 +114,19 @@ impl StartGap {
         let mut scheme = Self {
             config: *config,
             frame_of: table::filled(logical as usize, 0),
-            resident: table::filled(frames as usize, None),
-            gap: frames - 1,
+            resident: table::filled(frames as usize, GAP),
+            gap: last,
             perm,
 
             writes: 0,
             gap_moves: 0,
             stats: WlStats::new(),
         };
-        for l in 0..logical {
-            let f = scheme.randomized(l);
+        for l in 0..last {
+            let f = u32::try_from(scheme.randomized(u64::from(l)))
+                .expect("randomized frames stay below the logical page count");
             scheme.frame_of[l as usize] = f;
-            scheme.resident[f as usize] = Some(l);
+            scheme.resident[f as usize] = l;
         }
         scheme
     }
@@ -145,19 +158,23 @@ impl StartGap {
     /// Current gap frame.
     #[must_use]
     pub fn gap(&self) -> PhysicalPageAddr {
-        PhysicalPageAddr::new(self.gap)
+        PhysicalPageAddr::new(u64::from(self.gap))
     }
 
     /// Moves the gap one frame backwards, migrating the displaced page.
     fn move_gap(&mut self, device: &mut PcmDevice) -> Result<u64, PcmError> {
-        let frames = self.resident.len() as u64;
-        let neighbor = (self.gap + frames - 1) % frames;
-        if let Some(l) = self.resident[neighbor as usize] {
-            device.write_page(PhysicalPageAddr::new(self.gap))?;
+        let neighbor = match self.gap.checked_sub(1) {
+            Some(f) => f,
+            None => u32::try_from(self.resident.len() - 1)
+                .expect("the last frame fits u32, as checked in `new`"),
+        };
+        let l = self.resident[neighbor as usize];
+        if l != GAP {
+            device.write_page(self.gap())?;
             self.frame_of[l as usize] = self.gap;
-            self.resident[self.gap as usize] = Some(l);
+            self.resident[self.gap as usize] = l;
         }
-        self.resident[neighbor as usize] = None;
+        self.resident[neighbor as usize] = GAP;
         self.gap = neighbor;
         self.gap_moves += 1;
         twl_telemetry::counter!("twl.baselines.start_gap.gap_moves").inc();
@@ -175,7 +192,7 @@ impl WearLeveler for StartGap {
     }
 
     fn translate(&self, la: LogicalPageAddr) -> PhysicalPageAddr {
-        PhysicalPageAddr::new(self.frame_of[la.as_usize()])
+        PhysicalPageAddr::new(u64::from(self.frame_of[la.as_usize()]))
     }
 
     fn write_batch_cap(&self, wear_margin: u64) -> u64 {
@@ -270,11 +287,11 @@ mod tests {
     #[test]
     fn initial_layout_is_consistent() {
         let (_, sg) = setup(64);
-        for l in 0..63u64 {
-            let f = sg.translate(LogicalPageAddr::new(l));
-            assert_eq!(sg.resident[f.as_usize()], Some(l));
+        for l in 0..63u32 {
+            let f = sg.translate(LogicalPageAddr::new(u64::from(l)));
+            assert_eq!(sg.resident[f.as_usize()], l);
         }
-        assert_eq!(sg.resident[sg.gap as usize], None);
+        assert_eq!(sg.resident[sg.gap as usize], GAP);
     }
 
     #[test]

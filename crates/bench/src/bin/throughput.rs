@@ -155,7 +155,7 @@ fn run_once(
         )
     };
     let secs = start.elapsed().as_secs_f64().max(1e-9);
-    (report, device.wear_counters().to_vec(), secs)
+    (report, device.wear_counters(), secs)
 }
 
 fn main() {

@@ -175,7 +175,12 @@ impl WearGateway {
     /// [`GatewayError::Scheme`] when the scheme rejects the geometry
     /// (e.g. SR over a non-power-of-two page count).
     pub fn new(config: GatewayConfig) -> Result<Self, GatewayError> {
-        let data_cfg = PcmConfig::scaled(config.pages, config.mean_endurance, config.seed);
+        let data_cfg = PcmConfig::builder()
+            .pages(config.pages)
+            .mean_endurance(config.mean_endurance)
+            .seed(config.seed)
+            .build()
+            .map_err(GatewayError::Device)?;
         let fault_cfg = FaultConfig {
             spare_fraction: config.spare_fraction,
             seed: config.fault_seed,
@@ -250,15 +255,16 @@ impl WearGateway {
         self.end_of_life
     }
 
-    /// FNV-1a over the physical wear counters, masked to 32 bits so the
-    /// digest survives a round trip through an f64 Prometheus gauge.
+    /// FNV-1a over the physical wear counters, each hashed as its 8
+    /// little-endian `u64` bytes, masked to 32 bits so the digest
+    /// survives a round trip through an f64 Prometheus gauge.
     /// Equal hashes across a live run and its replay certify equal wear
     /// maps (and the tests also compare the maps directly).
     #[must_use]
     pub fn wear_map_hash(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &w in self.device.wear_counters() {
-            for b in w.to_le_bytes() {
+        for &w in self.device.wear_table() {
+            for b in u64::from(w).to_le_bytes() {
                 h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
             }
         }
@@ -267,7 +273,7 @@ impl WearGateway {
 
     /// The raw physical wear counters (data region + spare tail).
     #[must_use]
-    pub fn wear_counters(&self) -> &[u64] {
+    pub fn wear_counters(&self) -> Vec<u64> {
         self.device.wear_counters()
     }
 
@@ -338,6 +344,92 @@ mod tests {
         let replayed = WearGateway::replay(tiny(), live.capture()).unwrap();
         assert_eq!(replayed.probe(), live.probe());
         assert_eq!(replayed.wear_counters(), live.wear_counters());
+    }
+
+    /// Runs `writes` strided page writes through a fresh 64-page gateway
+    /// and returns its probe.
+    fn probe_after(scheme: &str, mean_endurance: u64, writes: u64) -> GatewayProbe {
+        let mut gw = WearGateway::new(GatewayConfig {
+            pages: 64,
+            mean_endurance,
+            scheme: scheme.parse().unwrap(),
+            ..GatewayConfig::default()
+        })
+        .unwrap();
+        for i in 0..writes {
+            let _ = gw.write_page(LogicalPageAddr::new((i * 7 + i / 13) % 64));
+        }
+        gw.probe()
+    }
+
+    /// The full probe, wear-map hash included, is pinned to fixed
+    /// values: live and replayed gateways are otherwise only compared
+    /// with each other, so a changed hash input (say, a counter hashed
+    /// at another width) would go unnoticed. The hash is exported as a
+    /// gauge and printed by `twl-blk`.
+    #[test]
+    fn probe_is_pinned() {
+        let stats =
+            |logical_writes, device_writes, swaps, engine_cycles, blocking_cycles| WlStats {
+                logical_writes,
+                device_writes,
+                swaps,
+                engine_cycles,
+                blocking_cycles,
+            };
+        let probe = |stats, wear_map_hash, pages_retired, capture_len, end_of_life| GatewayProbe {
+            stats,
+            wear_map_hash,
+            pages_retired,
+            spares_remaining: 4 - pages_retired,
+            capture_len,
+            end_of_life,
+        };
+        // Retirements drain the spare pool and end the export's life.
+        assert_eq!(
+            probe_after("TWL_swp", 60, 3_000),
+            probe(
+                stats(2765, 2836, 50, 69_381, 159_750),
+                2_688_622_479,
+                4,
+                2765,
+                true
+            )
+        );
+        let cases = [
+            (
+                "TWL_swp",
+                6_000,
+                stats(6000, 6154, 107, 150_576, 346_500),
+                1_314_987_125,
+            ),
+            ("NOWL", 3_000, stats(3000, 3000, 0, 0, 0), 2_363_434_883),
+            (
+                "SR",
+                3_000,
+                stats(3000, 4152, 548, 24_000, 2_592_000),
+                2_436_075_791,
+            ),
+            (
+                "BWL",
+                3_000,
+                stats(3000, 3016, 2, 270_000, 36_000),
+                168_967_841,
+            ),
+            (
+                "WRL",
+                3_000,
+                stats(3000, 3094, 3, 33_840, 211_500),
+                2_276_544_405,
+            ),
+        ];
+        for (scheme, writes, stats, hash) in cases {
+            assert_eq!(
+                probe_after(scheme, 200, writes),
+                probe(stats, hash, 0, writes, false),
+                "{scheme}"
+            );
+        }
     }
 
     #[test]

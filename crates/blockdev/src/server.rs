@@ -299,7 +299,7 @@ impl ShutdownHandle {
     /// The live physical wear counters, cloned.
     #[must_use]
     pub fn wear_counters(&self) -> Vec<u64> {
-        self.shared.lock().gateway.wear_counters().to_vec()
+        self.shared.lock().gateway.wear_counters()
     }
 }
 

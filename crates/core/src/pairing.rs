@@ -41,7 +41,8 @@ impl PairingStrategy {
 /// physical page with exactly one partner.
 ///
 /// Pairs are *physical* bonds: inter-pair swaps move logical data between
-/// frames but never rewire partners.
+/// frames but never rewire partners. Partners are held as `u32` page
+/// indices, so a table covers at most 2³² pages.
 ///
 /// # Examples
 ///
@@ -57,7 +58,7 @@ impl PairingStrategy {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairTable {
-    partner: Vec<u64>,
+    partner: Vec<u32>,
 }
 
 impl PairTable {
@@ -65,32 +66,37 @@ impl PairTable {
     ///
     /// # Panics
     ///
-    /// Panics if the map has fewer than 2 pages or an odd page count.
+    /// Panics if the map has fewer than 2 pages, an odd page count, or
+    /// more than 2³² pages.
     #[must_use]
     pub fn build(endurance: &EnduranceMap, strategy: PairingStrategy) -> Self {
         let n = endurance.len();
         assert!(n >= 2, "pairing needs at least 2 pages");
         assert!(n.is_multiple_of(2), "pairing needs an even page count");
+        let last = u32::try_from(n - 1).expect("pair table indexes pages with u32");
         twl_telemetry::counter!("twl.core.pair_builds").inc();
-        let mut partner = table::filled(n, 0u64);
+        let mut partner = table::filled(n, 0u32);
+        let index = |pa: PhysicalPageAddr| {
+            u32::try_from(pa.index()).expect("page indices are at most `last`")
+        };
         match strategy {
             PairingStrategy::StrongWeak => {
                 let sorted = endurance.sorted_by_endurance();
                 for k in 0..n / 2 {
                     let weak = sorted[k];
                     let strong = sorted[n - 1 - k];
-                    partner[weak.as_usize()] = strong.index();
-                    partner[strong.as_usize()] = weak.index();
+                    partner[weak.as_usize()] = index(strong);
+                    partner[strong.as_usize()] = index(weak);
                 }
             }
             PairingStrategy::Adjacent => {
-                for i in (0..n).step_by(2) {
-                    partner[i] = (i + 1) as u64;
-                    partner[i + 1] = i as u64;
+                for i in (0..=last).step_by(2) {
+                    partner[i as usize] = i + 1;
+                    partner[i as usize + 1] = i;
                 }
             }
             PairingStrategy::Random { seed } => {
-                let mut order: Vec<u64> = (0..n as u64).collect();
+                let mut order: Vec<u32> = (0..=last).collect();
                 let mut rng = Xoshiro256StarStar::seed_from(seed);
                 // Fisher-Yates shuffle, then bond consecutive entries.
                 for i in (1..n).rev() {
@@ -125,17 +131,14 @@ impl PairTable {
     /// Panics if `pa` is out of range.
     #[must_use]
     pub fn partner(&self, pa: PhysicalPageAddr) -> PhysicalPageAddr {
-        PhysicalPageAddr::new(self.partner[pa.as_usize()])
+        PhysicalPageAddr::new(u64::from(self.partner[pa.as_usize()]))
     }
 
     /// Iterates each pair once, as `(low_member, high_member)`.
     pub fn pairs(&self) -> impl Iterator<Item = (PhysicalPageAddr, PhysicalPageAddr)> + '_ {
-        self.partner.iter().enumerate().filter_map(|(i, &p)| {
-            if (i as u64) < p {
-                Some((PhysicalPageAddr::new(i as u64), PhysicalPageAddr::new(p)))
-            } else {
-                None
-            }
+        self.partner.iter().zip(0u64..).filter_map(|(&p, i)| {
+            let p = u64::from(p);
+            (i < p).then_some((PhysicalPageAddr::new(i), PhysicalPageAddr::new(p)))
         })
     }
 
@@ -144,9 +147,8 @@ impl PairTable {
     #[must_use]
     pub fn is_valid_involution(&self) -> bool {
         self.partner.iter().enumerate().all(|(i, &p)| {
-            p != i as u64
-                && (p as usize) < self.partner.len()
-                && self.partner[p as usize] == i as u64
+            let p = p as usize;
+            p != i && self.partner.get(p).map(|&q| q as usize) == Some(i)
         })
     }
 }
@@ -163,7 +165,7 @@ mod tests {
             .seed(seed)
             .build()
             .unwrap();
-        EnduranceMap::generate(&c)
+        EnduranceMap::generate(&c).unwrap()
     }
 
     #[test]
@@ -261,7 +263,7 @@ mod property_tests {
                 .seed(seed)
                 .build()
                 .expect("valid config");
-            let endurance = EnduranceMap::generate(&pcm);
+            let endurance = EnduranceMap::generate(&pcm).unwrap();
             let strategy = match strategy_pick {
                 0 => PairingStrategy::StrongWeak,
                 1 => PairingStrategy::Adjacent,
@@ -283,7 +285,7 @@ mod property_tests {
                 .seed(seed)
                 .build()
                 .expect("valid config");
-            let endurance = EnduranceMap::generate(&pcm);
+            let endurance = EnduranceMap::generate(&pcm).unwrap();
             let spread = |strategy| {
                 let table = PairTable::build(&endurance, strategy);
                 let sums: Vec<u64> = table

@@ -156,7 +156,9 @@ impl FaultEngine {
             if self.dead[p] {
                 continue;
             }
-            let now = self.model.faults_at(page, device.wear_counters()[p]);
+            let now = self
+                .model
+                .faults_at(page, u64::from(device.wear_table()[p]));
             let known = self.faults[p];
             if now <= known {
                 continue;

@@ -137,7 +137,7 @@ impl EventHorizon {
         let Some(threshold) = threshold else {
             return NEVER;
         };
-        let wear = device.wear_counters()[page.as_usize()];
+        let wear = u64::from(device.wear_table()[page.as_usize()]);
         // A group fails once wear *reaches* its threshold, so a page one
         // short of it has margin 1 — only a single-write batch is safe.
         // An already-crossed threshold (possible only transiently, mid

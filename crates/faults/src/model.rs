@@ -120,7 +120,7 @@ mod tests {
     use twl_pcm::{EnduranceMap, PcmConfig};
 
     fn model(pages: u64, seed: u64) -> (EnduranceMap, CellFaultModel) {
-        let map = EnduranceMap::generate(&PcmConfig::scaled(pages, 100_000, 1));
+        let map = EnduranceMap::generate(&PcmConfig::scaled(pages, 100_000, 1)).unwrap();
         let cfg = FaultConfig {
             seed,
             ..FaultConfig::default()

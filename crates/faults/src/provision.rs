@@ -91,7 +91,7 @@ mod tests {
         assert_eq!(domain.spare_pages, 4);
         assert_eq!(domain.device.page_count(), 68);
         assert_eq!(domain.device.spares_remaining(), 4);
-        let plain = EnduranceMap::generate(&data_cfg);
+        let plain = EnduranceMap::generate(&data_cfg).unwrap();
         assert_eq!(domain.device.endurance_map().truncated(64), plain);
         assert_eq!(domain.engine.model().page_count(), 68);
     }

@@ -85,7 +85,7 @@ struct BankOutcome {
     report: LifetimeReport,
     stats: WlStats,
     endurance_total: u128,
-    wear: Vec<u64>,
+    wear: Vec<u32>,
 }
 
 /// Folds bank outcomes (in bank order) into one device-level report.
@@ -218,7 +218,7 @@ pub fn run_lifetime_banked_on(
             report,
             stats: *scheme.stats(),
             endurance_total: device.endurance_map().total(),
-            wear: device.wear_counters().to_vec(),
+            wear: device.wear_table().to_vec(),
         }
     })
 }

@@ -325,7 +325,7 @@ impl Regime for FailStop<'_> {
             years: self.calibration.years(capacity_fraction),
             swap_per_write: stats.swap_per_write(),
             extra_write_ratio: stats.extra_write_ratio(),
-            wear_gini: twl_pcm::wear_gini(device.wear_counters()),
+            wear_gini: twl_pcm::wear_gini(device.wear_table()),
         };
         twl_telemetry::emit(&TelemetryRecord::Summary(SchemeSummary {
             scheme: report.scheme.clone(),
@@ -505,7 +505,7 @@ impl Regime for Degradation<'_> {
             end: self.end,
             capacity_fraction,
             years: self.calibration.years(capacity_fraction),
-            wear_gini: twl_pcm::wear_gini(device.wear_counters()),
+            wear_gini: twl_pcm::wear_gini(device.wear_table()),
             curve: self.curve,
         };
         // The absorb aggregate is charged to the drive span, so it
@@ -622,7 +622,7 @@ impl<'a> RunTelemetry<'a> {
         }
         if let Some(snapshot) = self
             .sampler
-            .observe(device_write_delta, device.wear_counters())
+            .observe(device_write_delta, device.wear_table())
         {
             twl_telemetry::emit(&TelemetryRecord::Wear {
                 scheme: self.scheme.to_owned(),
@@ -634,7 +634,7 @@ impl<'a> RunTelemetry<'a> {
 
     /// Emits the final wear snapshot and returns the observed alarm rate.
     fn end(mut self, device: &PcmDevice) -> f64 {
-        let snapshot = self.sampler.snapshot_now(device.wear_counters()).clone();
+        let snapshot = self.sampler.snapshot_now(device.wear_table()).clone();
         twl_telemetry::emit(&TelemetryRecord::Wear {
             scheme: self.scheme.to_owned(),
             workload: self.workload.to_owned(),

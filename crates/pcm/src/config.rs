@@ -1,6 +1,7 @@
 //! Device configuration and builder.
 
 use crate::{PcmError, PcmTiming};
+use twl_rng::GaussianSampler;
 
 /// Configuration of a simulated PCM device.
 ///
@@ -105,6 +106,14 @@ impl PcmConfig {
         self.page_size_bytes / self.line_size_bytes
     }
 
+    /// The Gaussian the endurance map is drawn from.
+    pub(crate) fn endurance_sampler(&self) -> GaussianSampler {
+        GaussianSampler::new(
+            self.mean_endurance as f64,
+            self.sigma_fraction * self.mean_endurance as f64,
+        )
+    }
+
     /// Scale factor between this device's total endurance and the
     /// nominal DAC'17 device's, used by the years calibration.
     #[must_use]
@@ -201,15 +210,25 @@ impl PcmConfigBuilder {
     /// # Errors
     ///
     /// Returns [`PcmError::InvalidConfig`] if any of the following hold:
-    /// fewer than 2 pages, odd page count, zero page/line size, line size
-    /// not dividing page size, zero mean endurance, σ fraction outside
-    /// `[0, 1)`, or zero banks.
+    /// fewer than 2 pages, more than `u32::MAX` pages, odd page count,
+    /// zero page/line size, line size not dividing page size, zero mean
+    /// endurance, σ fraction outside `[0, 1)`, a mean and σ whose
+    /// Gaussian could draw an endurance past `u32::MAX` (the endurance
+    /// table's width; see [`twl_rng::GaussianSampler::max_sample`]), or
+    /// zero banks.
     pub fn build(&self) -> Result<PcmConfig, PcmError> {
         let c = &self.config;
         if c.pages < 2 {
             return Err(PcmError::InvalidConfig(
                 "device needs at least 2 pages".into(),
             ));
+        }
+        if c.pages > u64::from(u32::MAX) {
+            return Err(PcmError::InvalidConfig(format!(
+                "{} pages exceed the page tables' limit of {}",
+                c.pages,
+                u32::MAX
+            )));
         }
         if !c.pages.is_multiple_of(2) {
             return Err(PcmError::InvalidConfig(
@@ -235,6 +254,16 @@ impl PcmConfigBuilder {
             return Err(PcmError::InvalidConfig(
                 "sigma fraction must lie in [0, 1)".into(),
             ));
+        }
+        let max_draw = c.endurance_sampler().max_sample();
+        if max_draw > f64::from(u32::MAX) {
+            return Err(PcmError::InvalidConfig(format!(
+                "mean endurance {} with sigma fraction {} can draw endurances up to {max_draw:.0}, \
+                 past the endurance table's limit of {}",
+                c.mean_endurance,
+                c.sigma_fraction,
+                u32::MAX
+            )));
         }
         if c.banks == 0 {
             return Err(PcmError::InvalidConfig(
@@ -275,6 +304,32 @@ mod tests {
         assert!(PcmConfig::builder().line_size_bytes(100).build().is_err());
         assert!(PcmConfig::builder().banks(0).build().is_err());
         assert!(PcmConfig::builder().build().is_ok());
+    }
+
+    #[test]
+    fn builder_refuses_endurance_draws_past_u32() {
+        // 12.5 σ above the mean must stay within `u32::MAX`.
+        let fits = |mean, sigma| {
+            PcmConfig::builder()
+                .mean_endurance(mean)
+                .sigma_fraction(sigma)
+                .build()
+        };
+        assert!(fits(100_000_000, 0.11).is_ok(), "the paper's device");
+        assert!(fits(1_000_000_000, 0.11).is_ok());
+        assert!(fits(u64::from(u32::MAX), 0.0).is_ok());
+        for (mean, sigma) in [(u64::from(u32::MAX) + 1, 0.0), (2_000_000_000, 0.11)] {
+            match fits(mean, sigma) {
+                Err(PcmError::InvalidConfig(msg)) => assert!(
+                    msg.contains(&format!("mean endurance {mean}"))
+                        && msg.contains("limit of 4294967295"),
+                    "{msg}"
+                ),
+                other => panic!("mean {mean}, sigma {sigma}: {other:?}"),
+            }
+        }
+        let wide = PcmConfig::builder().pages(1 << 33).build().unwrap_err();
+        assert!(wide.to_string().contains("8589934592 pages"), "{wide}");
     }
 
     #[test]

@@ -127,7 +127,12 @@ impl BulkWrite {
 pub struct PcmDevice {
     config: PcmConfig,
     endurance: EnduranceMap,
-    wear: Vec<u64>,
+    /// Writes absorbed by each physical page. `u32` holds any fail-stop
+    /// wear, which stops at the page's `u32` endurance; under
+    /// [`WearPolicy::Unlimited`] a write past `u32::MAX` fails with
+    /// [`PcmError::WearOverflow`] instead of wrapping. Snapshots and
+    /// [`PcmDevice::wear`] widen to `u64`.
+    wear: Vec<u32>,
     total_writes: u64,
     first_failure: Option<PhysicalPageAddr>,
     policy: WearPolicy,
@@ -151,9 +156,15 @@ pub struct PcmDevice {
 
 impl PcmDevice {
     /// Creates a device, drawing the endurance map from `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`EnduranceMap::generate`]'s error if a page's draw
+    /// exceeds `u32::MAX`, which a config that
+    /// [`crate::PcmConfigBuilder::build`] accepted never does.
     #[must_use]
     pub fn new(config: &PcmConfig) -> Self {
-        let endurance = EnduranceMap::generate(config);
+        let endurance = EnduranceMap::generate(config).unwrap_or_else(|e| panic!("{e}"));
         Self::with_endurance(config, endurance)
     }
 
@@ -355,9 +366,16 @@ impl PcmDevice {
     ///   end of life under graceful degradation.
     pub fn retire_page(&mut self, slot: PhysicalPageAddr) -> Result<PhysicalPageAddr, PcmError> {
         self.check_addr(slot)?;
-        let Some(spare) = self.spares.pop() else {
+        let Some(&spare) = self.spares.last() else {
             return Err(PcmError::SparesExhausted { slot });
         };
+        if self.wear[spare as usize] == u32::MAX {
+            return Err(PcmError::WearOverflow {
+                addr: PhysicalPageAddr::new(spare),
+                writes: u64::from(u32::MAX),
+            });
+        }
+        self.spares.pop();
         if self.forward.is_empty() {
             let pages = self.config.pages as u32;
             self.forward = table::collected(pages as usize, 0..pages);
@@ -391,6 +409,8 @@ impl PcmDevice {
         }
     }
 
+    /// Charges one write to `phys`, whose wear the caller has checked
+    /// is below its limit ([`PcmDevice::wear_limit`]).
     #[inline]
     fn account_write(&mut self, phys: usize) {
         self.wear[phys] += 1;
@@ -409,23 +429,44 @@ impl PcmDevice {
     ///   the backing page's endurance is already exhausted. The first
     ///   failure is latched and reported by [`PcmDevice::first_failure`].
     ///   Under [`WearPolicy::Unlimited`] writes never fail this way.
+    /// * [`PcmError::WearOverflow`] under [`WearPolicy::Unlimited`] when
+    ///   the backing page's wear counter is already at `u32::MAX`.
     #[inline]
     pub fn write_page(&mut self, addr: PhysicalPageAddr) -> Result<(), PcmError> {
         self.check_addr(addr)?;
         let phys = self.physical(addr);
-        if self.policy == WearPolicy::FailStop
-            && self.wear[phys] >= self.endurance.endurance(PhysicalPageAddr::new(phys as u64))
-        {
-            if self.first_failure.is_none() {
-                self.first_failure = Some(addr);
-            }
-            return Err(PcmError::PageWornOut {
-                addr,
-                writes: self.wear[phys],
-            });
+        if self.wear[phys] >= self.wear_limit(phys) {
+            return Err(self.refuse(addr, phys));
         }
         self.account_write(phys);
         Ok(())
+    }
+
+    /// The wear at which `phys` takes no more writes: its tested
+    /// endurance under [`WearPolicy::FailStop`], and the counter's
+    /// `u32::MAX` under [`WearPolicy::Unlimited`].
+    #[inline]
+    fn wear_limit(&self, phys: usize) -> u32 {
+        match self.policy {
+            WearPolicy::FailStop => self.endurance.values()[phys],
+            WearPolicy::Unlimited => u32::MAX,
+        }
+    }
+
+    /// The error for a write to `addr` (backed by `phys`) at its wear
+    /// limit; a fail-stop wear-out also latches the first failure.
+    #[cold]
+    fn refuse(&mut self, addr: PhysicalPageAddr, phys: usize) -> PcmError {
+        let writes = u64::from(self.wear[phys]);
+        match self.policy {
+            WearPolicy::FailStop => {
+                if self.first_failure.is_none() {
+                    self.first_failure = Some(addr);
+                }
+                PcmError::PageWornOut { addr, writes }
+            }
+            WearPolicy::Unlimited => PcmError::WearOverflow { addr, writes },
+        }
     }
 
     /// Writes one page `n` times in O(1), the bulk backbone of the
@@ -442,6 +483,10 @@ impl PcmDevice {
     /// taken after a bulk write restore exactly (wear still sums to the
     /// write total).
     ///
+    /// Under [`WearPolicy::Unlimited`] the writes that would carry the
+    /// page's wear counter past `u32::MAX` do not land either:
+    /// [`BulkWrite::failure`] is then [`PcmError::WearOverflow`].
+    ///
     /// `n == 0` is a no-op that reports zero writes landed.
     pub fn write_page_n(&mut self, addr: PhysicalPageAddr, n: u64) -> BulkWrite {
         if let Err(e) = self.check_addr(addr) {
@@ -451,29 +496,17 @@ impl PcmDevice {
             };
         }
         let phys = self.physical(addr);
-        let landed = match self.policy {
-            WearPolicy::Unlimited => n,
-            WearPolicy::FailStop => {
-                let endurance = self.endurance.endurance(PhysicalPageAddr::new(phys as u64));
-                n.min(endurance.saturating_sub(self.wear[phys]))
-            }
-        };
+        let room = self.wear_limit(phys).saturating_sub(self.wear[phys]);
+        let landed = u32::try_from(n).map_or(room, |n| n.min(room));
         if landed > 0 {
             self.wear[phys] += landed;
-            self.total_writes += landed;
+            self.total_writes += u64::from(landed);
             if let Some(log) = &mut self.write_log {
                 log.push(PhysicalPageAddr::new(phys as u64));
             }
         }
-        let failure = (landed < n).then(|| {
-            if self.first_failure.is_none() {
-                self.first_failure = Some(addr);
-            }
-            PcmError::PageWornOut {
-                addr,
-                writes: self.wear[phys],
-            }
-        });
+        let landed = u64::from(landed);
+        let failure = (landed < n).then(|| self.refuse(addr, phys));
         BulkWrite { landed, failure }
     }
 
@@ -494,7 +527,7 @@ impl PcmDevice {
     #[inline]
     #[must_use]
     pub fn wear(&self, addr: PhysicalPageAddr) -> u64 {
-        self.wear[self.physical(addr)]
+        u64::from(self.wear[self.physical(addr)])
     }
 
     /// Tested endurance of the physical page backing `addr`.
@@ -522,13 +555,13 @@ impl PcmDevice {
 
     /// Fills `out` (reusing its allocation) with the remaining
     /// endurance of every slot, in slot order — `out[s]` equals
-    /// `self.remaining(s)`.
+    /// `self.remaining(s)`, at most the page's `u32` endurance.
     ///
     /// One fused pass over the flat slot/wear/endurance tables; schemes
     /// that rank all frames at an epoch boundary use this instead of
     /// per-frame [`PcmDevice::remaining`] calls, which would re-resolve
     /// the slot indirection on every comparison.
-    pub fn remaining_table(&self, out: &mut Vec<u64>) {
+    pub fn remaining_table(&self, out: &mut Vec<u32>) {
         table::reset(out, self.config.pages as usize);
         let endurance = self.endurance.values();
         if self.forward.is_empty() {
@@ -593,7 +626,7 @@ impl PcmDevice {
         self.wear
             .iter()
             .zip(self.endurance.iter())
-            .any(|(&w, (_, e))| w >= e)
+            .any(|(&w, (_, e))| u64::from(w) >= e)
     }
 
     /// Snapshot of wear statistics.
@@ -602,10 +635,19 @@ impl PcmDevice {
         WearStats::compute(&self.wear, &self.endurance)
     }
 
-    /// Per-physical-page wear counters (indexed by physical page).
+    /// Per-physical-page wear counters (indexed by physical page), as
+    /// stored: at most `u32::MAX` each (see [`PcmError::WearOverflow`]).
+    #[inline]
     #[must_use]
-    pub fn wear_counters(&self) -> &[u64] {
+    pub fn wear_table(&self) -> &[u32] {
         &self.wear
+    }
+
+    /// Per-physical-page wear counters (indexed by physical page),
+    /// widened to `u64`: a copy of [`PcmDevice::wear_table`].
+    #[must_use]
+    pub fn wear_counters(&self) -> Vec<u64> {
+        self.wear.iter().map(|&w| u64::from(w)).collect()
     }
 
     /// Captures the full device state for later [`PcmDevice::restore`].
@@ -614,7 +656,7 @@ impl PcmDevice {
         DeviceSnapshot {
             config: self.config.clone(),
             endurance: self.endurance.clone(),
-            wear: self.wear.clone(),
+            wear: self.wear_counters(),
             total_writes: self.total_writes,
             first_failure: self.first_failure,
             policy: self.policy,
@@ -632,7 +674,8 @@ impl PcmDevice {
     ///
     /// Returns [`PcmError::InvalidConfig`] if the snapshot is internally
     /// inconsistent (mismatched lengths, wear totals, wear exceeding
-    /// endurance under [`WearPolicy::FailStop`], or a broken slot map).
+    /// endurance under [`WearPolicy::FailStop`], a wear counter past
+    /// `u32::MAX`, or a broken slot map).
     pub fn restore(snapshot: DeviceSnapshot) -> Result<Self, PcmError> {
         let pages = snapshot.config.pages as usize;
         if snapshot.endurance.len() != pages
@@ -692,13 +735,25 @@ impl PcmDevice {
         let (forward, back) = if identity(&snapshot.forward) && identity(&snapshot.back) {
             (Vec::new(), Vec::new())
         } else {
-            let narrow = |map: &[u64]| map.iter().map(|&v| v as u32).collect();
+            let narrow = |map: &[u64]| {
+                map.iter()
+                    .map(|&v| u32::try_from(v).expect("entries are below `pages`, which fits u32"))
+                    .collect()
+            };
             (narrow(&snapshot.forward), narrow(&snapshot.back))
         };
+        let wear = snapshot
+            .wear
+            .iter()
+            .map(|&w| u32::try_from(w))
+            .collect::<Result<_, _>>()
+            .map_err(|_| {
+                PcmError::InvalidConfig("snapshot wear counter exceeds u32::MAX".into())
+            })?;
         Ok(Self {
             config: snapshot.config,
             endurance: snapshot.endurance,
-            wear: snapshot.wear,
+            wear,
             total_writes: snapshot.total_writes,
             first_failure: snapshot.first_failure,
             policy: snapshot.policy,
@@ -1061,8 +1116,8 @@ mod tests {
         lazy.remaining_table(&mut a);
         eager.remaining_table(&mut b);
         assert_eq!(a, b);
-        let per_slot: Vec<u64> = (0..eager.page_count())
-            .map(|i| eager.remaining(PhysicalPageAddr::new(i)))
+        let per_slot: Vec<u32> = (0..eager.page_count())
+            .map(|i| u32::try_from(eager.remaining(PhysicalPageAddr::new(i))).unwrap())
             .collect();
         assert_eq!(a, per_slot, "remaining_table is remaining() in slot order");
         assert_eq!(lazy.snapshot(), eager.snapshot());
@@ -1133,6 +1188,55 @@ mod tests {
             assert!(panics(&|d| _ = d.wear(past)), "wear, {retired}");
             assert!(panics(&|d| _ = d.endurance(past)), "endurance, {retired}");
         }
+    }
+
+    #[test]
+    fn unlimited_wear_stops_at_the_counter_limit() {
+        let mut dev = device(4, 2);
+        dev.set_wear_policy(WearPolicy::Unlimited);
+        let pa = PhysicalPageAddr::new(1);
+        let limit = u64::from(u32::MAX);
+        assert!(dev.write_page_n(pa, limit - 1).complete());
+        assert_eq!(dev.wear(pa), limit - 1);
+        let overflow = PcmError::WearOverflow {
+            addr: pa,
+            writes: limit,
+        };
+        // The last value the counter holds lands; the write after it
+        // fails loudly instead of wrapping to 0.
+        let out = dev.write_page_n(pa, 2);
+        assert_eq!(out.landed, 1);
+        assert_eq!(out.failure, Some(overflow.clone()));
+        assert_eq!(dev.wear(pa), limit);
+        assert_eq!(dev.write_page(pa), Err(overflow.clone()));
+        let out = dev.write_page_n(pa, u64::MAX);
+        assert_eq!((out.landed, out.failure), (0, Some(overflow)));
+        assert_eq!(dev.wear(pa), limit);
+        assert_eq!(dev.total_writes(), limit);
+        assert_eq!(dev.first_failure(), None, "an overflow is not wear-out");
+        // A retirement's copy onto a spare at the limit fails the same
+        // way, before anything moves.
+        dev.set_spare_pool(vec![pa]);
+        let slot = PhysicalPageAddr::new(0);
+        assert!(matches!(
+            dev.retire_page(slot),
+            Err(PcmError::WearOverflow { .. })
+        ));
+        assert_eq!((dev.spares_remaining(), dev.retired_pages()), (1, 0));
+        assert_eq!(dev.resolve(slot), slot);
+    }
+
+    #[test]
+    fn restore_refuses_wear_past_u32() {
+        let mut dev = device(4, 5);
+        dev.set_wear_policy(WearPolicy::Unlimited);
+        let mut snap = dev.snapshot();
+        snap.wear[2] = u64::from(u32::MAX) + 1;
+        snap.total_writes = snap.wear[2];
+        assert!(matches!(
+            PcmDevice::restore(snap),
+            Err(PcmError::InvalidConfig(msg)) if msg.contains("u32::MAX")
+        ));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Process-variation endurance map.
 
-use crate::{table, PcmConfig, PhysicalPageAddr};
+use crate::{table, PcmConfig, PcmError, PhysicalPageAddr};
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex, Weak};
-use twl_rng::{GaussianSampler, Xoshiro256StarStar};
+use twl_rng::Xoshiro256StarStar;
 
 /// The [`PcmConfig`] fields a drawn map depends on: seed, pages, mean
 /// endurance and `sigma_fraction.to_bits()`.
@@ -12,7 +12,7 @@ type MapKey = (u64, u64, u64, u64);
 /// Generated maps by the config fields they were drawn from. Entries are
 /// `Weak`, so the table never keeps a map's values past its last holder;
 /// entries whose maps have died are dropped on the next insert.
-static LIVE_MAPS: LazyLock<Mutex<HashMap<MapKey, Weak<Vec<u64>>>>> = LazyLock::new(Mutex::default);
+static LIVE_MAPS: LazyLock<Mutex<HashMap<MapKey, Weak<Values>>>> = LazyLock::new(Mutex::default);
 
 fn map_key(config: &PcmConfig) -> MapKey {
     (
@@ -21,6 +21,36 @@ fn map_key(config: &PcmConfig) -> MapKey {
         config.mean_endurance,
         config.sigma_fraction.to_bits(),
     )
+}
+
+/// A map's per-page values with the two aggregates read on every
+/// fail-stop run's report, computed once where the values are made.
+#[derive(Debug, PartialEq, Eq)]
+struct Values {
+    /// Endurance by physical page. `u32` holds any endurance the
+    /// Gaussian model draws for a valid [`PcmConfig`] (the paper's mean
+    /// is 10⁸); construction refuses anything wider with
+    /// [`PcmError::EnduranceTooLarge`].
+    pages: Vec<u32>,
+    /// Sum of `pages`.
+    total: u128,
+    /// Largest entry of `pages`.
+    max: u32,
+}
+
+impl Values {
+    /// Wraps `pages` (non-empty) with its aggregates.
+    fn new(pages: Vec<u32>) -> Arc<Self> {
+        // Fewer than 2³² values below 2³² each: the sum fits a `u64`.
+        let (total, max) = pages.iter().fold((0u64, 0u32), |(total, max), &v| {
+            (total + u64::from(v), max.max(v))
+        });
+        Arc::new(Self {
+            pages,
+            total: u128::from(total),
+            max,
+        })
+    }
 }
 
 /// The per-page endurance values drawn from the process-variation model.
@@ -32,7 +62,8 @@ fn map_key(config: &PcmConfig) -> MapKey {
 ///
 /// Manufacturers test endurance at production time, so schemes may read
 /// this map freely (it is the paper's endurance table, ET). Values are
-/// clipped below at 1 write.
+/// clipped below at 1 write and stored as `u32`: every endurance must be
+/// at most `u32::MAX` (about 43 times the paper's mean).
 ///
 /// A map is immutable, so clones share one allocation: cloning is cheap
 /// and every clone reads the same values.
@@ -44,7 +75,7 @@ fn map_key(config: &PcmConfig) -> MapKey {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let config = PcmConfig::builder().pages(64).mean_endurance(1000).seed(3).build()?;
-/// let map = EnduranceMap::generate(&config);
+/// let map = EnduranceMap::generate(&config)?;
 /// assert_eq!(map.len(), 64);
 /// assert!(map.min() <= map.max());
 /// # Ok(())
@@ -55,7 +86,7 @@ pub struct EnduranceMap {
     /// The values sit in their own allocation, not inline in the `Arc`,
     /// so the intern table's `Weak` pins only the small `Arc` header
     /// once the last holder drops.
-    values: Arc<Vec<u64>>,
+    values: Arc<Values>,
 }
 
 impl EnduranceMap {
@@ -66,34 +97,50 @@ impl EnduranceMap {
     /// is alive (held by a device, a scheme or a clone), a call with the
     /// same four values returns a map sharing its storage instead of
     /// drawing again — at the paper's 8,388,608 pages a draw is about
-    /// 0.5 s and 64 MB. Once every holder has dropped, the values are
+    /// 0.5 s and 32 MB. Once every holder has dropped, the values are
     /// freed and the next call draws afresh, to an equal map. Two threads
     /// that miss at the same moment both draw (no lock is held while
     /// drawing); the second to finish adopts the first's map.
-    #[must_use]
-    pub fn generate(config: &PcmConfig) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`PcmError::EnduranceTooLarge`] for the first page whose draw
+    /// exceeds `u32::MAX`. A config that [`crate::PcmConfigBuilder::build`]
+    /// accepted never draws one.
+    pub fn generate(config: &PcmConfig) -> Result<Self, PcmError> {
         let key = map_key(config);
         let live = || LIVE_MAPS.lock().expect("endurance intern lock poisoned");
         let twin = live().get(&key).and_then(Weak::upgrade);
         if let Some(values) = twin {
-            return Self { values };
+            return Ok(Self { values });
         }
         let mut rng = Xoshiro256StarStar::seed_from(config.seed ^ 0x5043_4D5F_454E_4455);
-        let sampler = GaussianSampler::new(
-            config.mean_endurance as f64,
-            config.sigma_fraction * config.mean_endurance as f64,
-        );
-        let drawn = Arc::new(table::collected(
+        let sampler = config.endurance_sampler();
+        // The first draw past `u32::MAX`, if any; the table is then
+        // dropped. (An early return from inside the draw loop makes the
+        // loop about twice as slow.)
+        let mut wide = None;
+        let pages = table::collected(
             config.pages as usize,
-            (0..config.pages).map(|_| sampler.sample_clipped(&mut rng, 1.0).round() as u64),
-        ));
+            (0..config.pages).map(|page| {
+                let drawn = sampler.sample_clipped(&mut rng, 1.0).round() as u64;
+                narrow(page, drawn).unwrap_or_else(|e| {
+                    wide.get_or_insert(e);
+                    u32::MAX
+                })
+            }),
+        );
+        if let Some(e) = wide {
+            return Err(e);
+        }
+        let drawn = Values::new(pages);
         let mut live = live();
         if let Some(values) = live.get(&key).and_then(Weak::upgrade) {
-            return Self { values };
+            return Ok(Self { values });
         }
         live.retain(|_, map| map.strong_count() > 0);
         live.insert(key, Arc::downgrade(&drawn));
-        Self { values: drawn }
+        Ok(Self { values: drawn })
     }
 
     /// Builds a map from explicit per-page values (for tests and custom
@@ -101,29 +148,53 @@ impl EnduranceMap {
     ///
     /// # Panics
     ///
-    /// Panics if `values` is empty or contains a zero.
+    /// Panics with the error [`EnduranceMap::try_from_values`] returns:
+    /// if `values` is empty, contains a zero, or holds a value past
+    /// `u32::MAX`.
     #[must_use]
     pub fn from_values(values: Vec<u64>) -> Self {
-        assert!(!values.is_empty(), "endurance map cannot be empty");
-        assert!(
-            values.iter().all(|&v| v > 0),
-            "endurance values must be positive"
-        );
-        Self {
-            values: Arc::new(values),
+        Self::try_from_values(values).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a map from explicit per-page values, refusing values the
+    /// `u32` table cannot hold.
+    ///
+    /// # Errors
+    ///
+    /// [`PcmError::InvalidConfig`] if `values` is empty or contains a
+    /// zero; [`PcmError::EnduranceTooLarge`] for the first value past
+    /// `u32::MAX`.
+    pub fn try_from_values(values: Vec<u64>) -> Result<Self, PcmError> {
+        if values.is_empty() {
+            return Err(PcmError::InvalidConfig(
+                "endurance map cannot be empty".into(),
+            ));
         }
+        if values.contains(&0) {
+            return Err(PcmError::InvalidConfig(
+                "endurance values must be positive".into(),
+            ));
+        }
+        let pages = values
+            .into_iter()
+            .zip(0..)
+            .map(|(v, page)| narrow(page, v))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            values: Values::new(pages),
+        })
     }
 
     /// Number of pages.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.values.pages.len()
     }
 
     /// Whether the map is empty (never true for generated maps).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.values.pages.is_empty()
     }
 
     /// Endurance of one page.
@@ -134,33 +205,35 @@ impl EnduranceMap {
     #[inline]
     #[must_use]
     pub fn endurance(&self, addr: PhysicalPageAddr) -> u64 {
-        self.values[addr.as_usize()]
+        u64::from(self.values.pages[addr.as_usize()])
     }
 
     /// Iterates over `(address, endurance)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (PhysicalPageAddr, u64)> + '_ {
         self.values
+            .pages
             .iter()
             .enumerate()
-            .map(|(i, &e)| (PhysicalPageAddr::new(i as u64), e))
+            .map(|(i, &e)| (PhysicalPageAddr::new(i as u64), u64::from(e)))
     }
 
     /// The weakest page's endurance.
     #[must_use]
     pub fn min(&self) -> u64 {
-        *self.values.iter().min().expect("map is non-empty")
+        u64::from(*self.values.pages.iter().min().expect("map is non-empty"))
     }
 
-    /// The strongest page's endurance.
+    /// The strongest page's endurance (computed once, with the map).
     #[must_use]
     pub fn max(&self) -> u64 {
-        *self.values.iter().max().expect("map is non-empty")
+        u64::from(self.values.max)
     }
 
-    /// Sum of all pages' endurance — the device's ideal write capacity.
+    /// Sum of all pages' endurance — the device's ideal write capacity
+    /// (computed once, with the map).
     #[must_use]
     pub fn total(&self) -> u128 {
-        self.values.iter().map(|&v| u128::from(v)).sum()
+        self.values.total
     }
 
     /// Mean endurance over the drawn map.
@@ -172,8 +245,8 @@ impl EnduranceMap {
     /// The raw per-page endurance values, indexed by physical page.
     #[inline]
     #[must_use]
-    pub fn values(&self) -> &[u64] {
-        &self.values
+    pub fn values(&self) -> &[u32] {
+        &self.values.pages
     }
 
     /// A map covering only the first `pages` pages.
@@ -191,15 +264,15 @@ impl EnduranceMap {
     #[must_use]
     pub fn truncated(&self, pages: usize) -> Self {
         assert!(
-            pages > 0 && pages <= self.values.len(),
+            pages > 0 && pages <= self.len(),
             "truncation length {pages} outside 1..={}",
-            self.values.len()
+            self.len()
         );
-        if pages == self.values.len() {
+        if pages == self.len() {
             return self.clone();
         }
         Self {
-            values: Arc::new(self.values[..pages].to_vec()),
+            values: Values::new(self.values.pages[..pages].to_vec()),
         }
     }
 
@@ -207,42 +280,33 @@ impl EnduranceMap {
     /// broken by ascending address.
     ///
     /// This is the sort the paper's Strong-Weak Pairing performs once at
-    /// configuration time. It sorts `(endurance, address)` keys directly
-    /// rather than addresses through a comparator that looks each one's
-    /// endurance up; the keys are unique, so the unstable sort yields the
-    /// one ascending order.
+    /// configuration time. Each page sorts as one `u64` key, its `u32`
+    /// endurance above its index (fewer than 2³² pages fit the low
+    /// half), which orders exactly as the `(endurance, address)` pair;
+    /// the keys are unique, so the unstable sort yields the one
+    /// ascending order.
     #[must_use]
     pub fn sorted_by_endurance(&self) -> Vec<PhysicalPageAddr> {
-        let index_bits = usize::BITS - (self.values.len() - 1).leading_zeros();
-        if self.max().leading_zeros() >= index_bits {
-            // Every endurance fits above the address bits, so one packed
-            // `u64` per page orders exactly as the `(endurance, address)`
-            // pair and sorts in half the memory.
-            let mut keys: Vec<u64> = self
-                .values
-                .iter()
-                .enumerate()
-                .map(|(i, &e)| e << index_bits | i as u64)
-                .collect();
-            keys.sort_unstable();
-            let mask = (1u64 << index_bits) - 1;
-            return keys
-                .into_iter()
-                .map(|k| PhysicalPageAddr::new(k & mask))
-                .collect();
-        }
-        let mut pairs: Vec<(u64, u64)> = self
-            .values
+        let values = &self.values.pages;
+        assert!(
+            u32::try_from(values.len() - 1).is_ok(),
+            "sort keys hold page indices in 32 bits"
+        );
+        let mut keys: Vec<u64> = values
             .iter()
-            .enumerate()
-            .map(|(i, &e)| (e, i as u64))
+            .zip(0u64..)
+            .map(|(&e, i)| u64::from(e) << 32 | i)
             .collect();
-        pairs.sort_unstable();
-        pairs
-            .into_iter()
-            .map(|(_, i)| PhysicalPageAddr::new(i))
+        keys.sort_unstable();
+        keys.into_iter()
+            .map(|k| PhysicalPageAddr::new(k & u64::from(u32::MAX)))
             .collect()
     }
+}
+
+/// `page`'s endurance in the table's `u32`, or the error naming it.
+fn narrow(page: u64, endurance: u64) -> Result<u32, PcmError> {
+    u32::try_from(endurance).map_err(|_| PcmError::EnduranceTooLarge { page, endurance })
 }
 
 /// Whether the intern table holds an entry, live or dead, for the map
@@ -288,16 +352,16 @@ mod tests {
                 .map(|_| match regime {
                     // Heavy ties: only three distinct endurances.
                     0 => 1 + rng.next_bounded(3),
-                    // The Gaussian's range at every simulated scale.
-                    1 => 1 + rng.next_bounded(1 << 40),
-                    // Too wide to pack beside the address.
-                    2 => u64::MAX - rng.next_bounded(4),
+                    // The table's whole range.
+                    1 => 1 + rng.next_bounded(u64::from(u32::MAX)),
+                    // At the table's limit.
+                    2 => u64::from(u32::MAX) - rng.next_bounded(4),
                     // Ties and near-maximum values in one map.
                     _ => {
                         if rng.next_bounded(2) == 0 {
                             1 + rng.next_bounded(3)
                         } else {
-                            u64::MAX - rng.next_bounded(3)
+                            u64::from(u32::MAX) - rng.next_bounded(3)
                         }
                     }
                 })
@@ -309,11 +373,10 @@ mod tests {
     #[test]
     fn sort_matches_reference_at_packing_edges() {
         for len in [1usize, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 1000] {
-            let index_bits = usize::BITS - (len - 1).leading_zeros();
-            // The largest endurance that still packs, and the smallest
-            // that does not, each as the map's maximum among ties.
-            let widest = u64::MAX >> index_bits;
-            for top in [widest, widest.saturating_add(1), u64::MAX] {
+            // The widest endurances a key holds, each as the map's
+            // maximum among ties.
+            let widest = u64::from(u32::MAX);
+            for top in [widest - 1, widest] {
                 let values = (0..len as u64)
                     .map(|i| if i % 3 == 1 { top } else { 1 + i % 2 })
                     .collect();
@@ -346,16 +409,16 @@ mod tests {
     #[test]
     fn any_drawn_field_changes_the_map() {
         let c = small_config(96, 0x5EED);
-        let base = EnduranceMap::generate(&c);
+        let base = EnduranceMap::generate(&c).unwrap();
         let mut variants = vec![c.clone(); 4];
         variants[0].seed += 1;
         variants[1].pages += 2;
         variants[2].mean_endurance += 1;
         variants[3].sigma_fraction = 0.12;
         for v in &variants {
-            let other = EnduranceMap::generate(v);
+            let other = EnduranceMap::generate(v).unwrap();
             assert!(!std::ptr::eq(other.values(), base.values()), "{v:?}");
-            assert_eq!(other, EnduranceMap::generate(v));
+            assert_eq!(other, EnduranceMap::generate(v).unwrap());
         }
     }
 
@@ -366,7 +429,7 @@ mod tests {
         let first = device.endurance_map().values().to_vec();
         let clone = device.endurance_map().clone();
         drop(device);
-        assert_eq!(EnduranceMap::generate(&c).values(), &first[..]);
+        assert_eq!(EnduranceMap::generate(&c).unwrap().values(), &first[..]);
         drop(clone);
         let again = PcmDevice::new(&c);
         assert_eq!(again.endurance_map().values(), &first[..]);
@@ -377,10 +440,10 @@ mod tests {
         // A mean no other test draws, so no other test holds these keys.
         let config = |seed| PcmConfig::scaled(8, 7_654_321, seed);
         for seed in 0..1000 {
-            drop(EnduranceMap::generate(&config(seed)));
+            drop(EnduranceMap::generate(&config(seed)).unwrap());
         }
         // The next insert drops every dead entry.
-        let live = EnduranceMap::generate(&config(1000));
+        let live = EnduranceMap::generate(&config(1000)).unwrap();
         assert!((0..1000).all(|seed| !is_interned(&config(seed))));
         assert!(is_interned(&config(1000)));
         drop(live);
@@ -398,20 +461,23 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let c = small_config(512, 9);
-        assert_eq!(EnduranceMap::generate(&c), EnduranceMap::generate(&c));
+        assert_eq!(
+            EnduranceMap::generate(&c).unwrap(),
+            EnduranceMap::generate(&c).unwrap()
+        );
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = EnduranceMap::generate(&small_config(512, 1));
-        let b = EnduranceMap::generate(&small_config(512, 2));
+        let a = EnduranceMap::generate(&small_config(512, 1)).unwrap();
+        let b = EnduranceMap::generate(&small_config(512, 2)).unwrap();
         assert_ne!(a, b);
     }
 
     #[test]
     fn statistics_match_model() {
         let c = small_config(65_536, 4);
-        let map = EnduranceMap::generate(&c);
+        let map = EnduranceMap::generate(&c).unwrap();
         let mean = map.mean();
         assert!((mean / 1e5 - 1.0).abs() < 0.01, "mean = {mean}");
         // Empirical min of 65k Gaussian draws sits near µ−4.4σ.
@@ -422,7 +488,7 @@ mod tests {
     #[test]
     fn sorted_is_ascending_and_complete() {
         let c = small_config(128, 5);
-        let map = EnduranceMap::generate(&c);
+        let map = EnduranceMap::generate(&c).unwrap();
         let order = map.sorted_by_endurance();
         assert_eq!(order.len(), 128);
         for w in order.windows(2) {
@@ -446,6 +512,60 @@ mod tests {
     }
 
     #[test]
+    fn aggregates_match_a_recount() {
+        let recount = |map: &EnduranceMap| {
+            let values = map.values();
+            (
+                values.iter().map(|&v| u128::from(v)).sum::<u128>(),
+                values.iter().copied().max().map(u64::from),
+            )
+        };
+        let big = EnduranceMap::generate(&small_config(4096, 11)).unwrap();
+        for map in [big.clone(), big.truncated(17), big.truncated(1)] {
+            assert_eq!((map.total(), Some(map.max())), recount(&map));
+        }
+        let edge = EnduranceMap::from_values(vec![u64::from(u32::MAX); 3]);
+        assert_eq!(edge.total(), 3 * u128::from(u32::MAX));
+        assert_eq!(edge.max(), u64::from(u32::MAX));
+    }
+
+    #[test]
+    fn values_past_u32_are_refused_with_their_page() {
+        let wide = u64::from(u32::MAX) + 1;
+        assert_eq!(
+            EnduranceMap::try_from_values(vec![5, u64::from(u32::MAX), wide, 7]),
+            Err(PcmError::EnduranceTooLarge {
+                page: 2,
+                endurance: wide
+            })
+        );
+        let refused = std::panic::catch_unwind(|| EnduranceMap::from_values(vec![wide]))
+            .expect_err("from_values panics on a value past u32::MAX");
+        let msg = refused.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("endurance 4294967296 of page 0"), "{msg}");
+        assert!(matches!(
+            EnduranceMap::try_from_values(Vec::new()),
+            Err(PcmError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn generate_refuses_a_draw_past_u32() {
+        // Built around the validation, as a struct literal can be.
+        let mut config = small_config(64, 3);
+        config.mean_endurance = 1 << 33;
+        config.sigma_fraction = 0.0;
+        assert_eq!(
+            EnduranceMap::generate(&config),
+            Err(PcmError::EnduranceTooLarge {
+                page: 0,
+                endurance: 1 << 33
+            })
+        );
+        assert!(!is_interned(&config), "a refused draw is not interned");
+    }
+
+    #[test]
     #[should_panic(expected = "endurance values must be positive")]
     fn zero_endurance_rejected() {
         let _ = EnduranceMap::from_values(vec![1, 0]);
@@ -453,8 +573,8 @@ mod tests {
 
     #[test]
     fn truncation_matches_smaller_generation() {
-        let big = EnduranceMap::generate(&small_config(256, 7));
-        let small = EnduranceMap::generate(&small_config(64, 7));
+        let big = EnduranceMap::generate(&small_config(256, 7)).unwrap();
+        let small = EnduranceMap::generate(&small_config(64, 7)).unwrap();
         assert_eq!(big.truncated(64), small);
         assert_eq!(big.truncated(256), big);
     }

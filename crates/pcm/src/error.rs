@@ -33,6 +33,22 @@ pub enum PcmError {
         /// The slot whose backing page could not be replaced.
         slot: PhysicalPageAddr,
     },
+    /// A page's endurance does not fit the `u32` endurance table.
+    EnduranceTooLarge {
+        /// The page whose endurance was drawn or given.
+        page: u64,
+        /// The refused endurance.
+        endurance: u64,
+    },
+    /// A write would push a page's wear counter past `u32::MAX` (only
+    /// reachable under [`crate::WearPolicy::Unlimited`]; fail-stop
+    /// wear never passes the page's endurance).
+    WearOverflow {
+        /// The slot whose backing page is at the counter's limit.
+        addr: PhysicalPageAddr,
+        /// The page's wear, `u32::MAX`.
+        writes: u64,
+    },
     /// The device configuration is invalid.
     InvalidConfig(String),
 }
@@ -52,6 +68,15 @@ impl fmt::Display for PcmError {
             Self::SparesExhausted { slot } => {
                 write!(f, "no spare page left to replace the page backing {slot}")
             }
+            Self::EnduranceTooLarge { page, endurance } => write!(
+                f,
+                "endurance {endurance} of page {page} exceeds the endurance table's limit of {}",
+                u32::MAX
+            ),
+            Self::WearOverflow { addr, writes } => write!(
+                f,
+                "page {addr} wear counter is at its limit of {writes} writes"
+            ),
             Self::InvalidConfig(msg) => write!(f, "invalid PCM configuration: {msg}"),
         }
     }
@@ -81,6 +106,16 @@ mod tests {
             slot: PhysicalPageAddr::new(3),
         };
         assert!(e.to_string().contains("PA3"));
+        let e = PcmError::EnduranceTooLarge {
+            page: 6,
+            endurance: 1 << 32,
+        };
+        assert!(e.to_string().contains("4294967296 of page 6"));
+        let e = PcmError::WearOverflow {
+            addr: PhysicalPageAddr::new(2),
+            writes: u64::from(u32::MAX),
+        };
+        assert!(e.to_string().contains("PA2") && e.to_string().contains("4294967295"));
     }
 
     #[test]

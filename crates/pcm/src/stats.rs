@@ -38,13 +38,14 @@ pub struct WearStats {
 }
 
 impl WearStats {
-    /// Computes statistics from raw wear counters and the endurance map.
+    /// Computes statistics from raw wear counters (a device's
+    /// [`crate::PcmDevice::wear_table`]) and the endurance map.
     ///
     /// # Panics
     ///
     /// Panics if `wear` and `endurance` lengths differ or are zero.
     #[must_use]
-    pub fn compute(wear: &[u64], endurance: &EnduranceMap) -> Self {
+    pub fn compute(wear: &[u32], endurance: &EnduranceMap) -> Self {
         assert_eq!(
             wear.len(),
             endurance.len(),
@@ -52,8 +53,8 @@ impl WearStats {
         );
         assert!(!wear.is_empty(), "cannot compute stats of an empty device");
         let n = wear.len() as f64;
-        let total_writes: u64 = wear.iter().sum();
-        let max_wear = *wear.iter().max().expect("non-empty");
+        let total_writes: u64 = wear.iter().map(|&w| u64::from(w)).sum();
+        let max_wear = u64::from(*wear.iter().max().expect("non-empty"));
         let mut max_ratio = 0.0f64;
         let mut sum_ratio = 0.0f64;
         for ((_, e), &w) in endurance.iter().zip(wear.iter()) {
@@ -75,8 +76,8 @@ impl WearStats {
     }
 }
 
-/// Gini coefficient of a non-negative sample (0 = all equal, →1 = all
-/// mass on one element).
+/// Gini coefficient of a sample of wear counters (0 = all equal, →1 =
+/// all mass on one element).
 ///
 /// Exposed so multi-device aggregations (the banked lifetime runner)
 /// can compute one coefficient over concatenated wear maps instead of
@@ -89,10 +90,11 @@ impl WearStats {
 /// assert!(twl_pcm::wear_gini(&[0, 0, 0, 100]) > 0.7);
 /// ```
 #[must_use]
-pub fn wear_gini(values: &[u64]) -> f64 {
+pub fn wear_gini(values: &[u32]) -> f64 {
     let n = values.len();
-    let (total, max) = values.iter().fold((0u128, 0u64), |(total, max), &v| {
-        (total + u128::from(v), max.max(v))
+    // At most 2³² values of at most 2³² − 1 each: the sum fits a `u64`.
+    let (total, max) = values.iter().fold((0u64, 0u32), |(total, max), &v| {
+        (total + u64::from(v), max.max(v))
     });
     if total == 0 || n < 2 {
         return 0.0;
@@ -101,7 +103,7 @@ pub fn wear_gini(values: &[u64]) -> f64 {
     // over the values in ascending order. Wear maps are mostly small
     // counters on many pages, so the rank-weighted sum comes from a
     // count per value unless the values are too wide to count.
-    let weighted = if max < n as u64 {
+    let weighted = if (max as usize) < n {
         counted_rank_sum(values, max)
     } else {
         sorted_rank_sum(values)
@@ -110,8 +112,8 @@ pub fn wear_gini(values: &[u64]) -> f64 {
 }
 
 /// `sum_i i * x_i` over `values` sorted ascending, ranks from 1.
-fn sorted_rank_sum(values: &[u64]) -> u128 {
-    let mut sorted: Vec<u64> = values.to_vec();
+fn sorted_rank_sum(values: &[u32]) -> u128 {
+    let mut sorted = values.to_vec();
     sorted.sort_unstable();
     sorted
         .iter()
@@ -124,7 +126,7 @@ fn sorted_rank_sum(values: &[u64]) -> u128 {
 /// the `c` copies of a value with `below` smaller values ahead of it
 /// take ranks `below + 1 ..= below + c`, which sum to
 /// `c * below + c * (c + 1) / 2`.
-fn counted_rank_sum(values: &[u64], max: u64) -> u128 {
+fn counted_rank_sum(values: &[u32], max: u32) -> u128 {
     let mut counts = vec![0u64; max as usize + 1];
     for &v in values {
         counts[v as usize] += 1;
@@ -157,7 +159,7 @@ mod tests {
     #[test]
     fn concentrated_wear_has_high_gini() {
         let endurance = EnduranceMap::from_values(vec![10; 8]);
-        let mut wear = vec![0u64; 8];
+        let mut wear = vec![0u32; 8];
         wear[0] = 80;
         let stats = WearStats::compute(&wear, &endurance);
         assert!(stats.wear_gini > 0.8, "gini = {}", stats.wear_gini);
@@ -182,7 +184,7 @@ mod tests {
     }
 
     /// The Gini as the sort-only implementation computes it.
-    fn sorted_gini(values: &[u64]) -> f64 {
+    fn sorted_gini(values: &[u32]) -> f64 {
         let n = values.len();
         let total: u128 = values.iter().map(|&v| u128::from(v)).sum();
         if total == 0 || n < 2 {
@@ -192,7 +194,7 @@ mod tests {
             - (n as f64 + 1.0) / n as f64
     }
 
-    fn assert_gini_matches_sort(values: &[u64]) {
+    fn assert_gini_matches_sort(values: &[u32]) {
         assert_eq!(
             wear_gini(values).to_bits(),
             sorted_gini(values).to_bits(),
@@ -206,21 +208,22 @@ mod tests {
         fn gini_matches_sort(regime in 0u8..6, len in 0usize..400, seed in any::<u64>()) {
             let mut rng = SplitMix64::seed_from(seed);
             let n = len as u64;
-            let values: Vec<u64> = (0..len)
+            let values: Vec<u32> = (0..len)
                 .map(|i| match regime {
                     // Counted: small counters, many ties.
                     0 => rng.next_bounded(4),
                     // Counted: values up to just below the length.
                     1 => rng.next_bounded(n.max(1)),
                     // Sorted: values at and past the length.
-                    2 => n + rng.next_bounded(1 << 40),
-                    // Sorted: near-maximum values.
-                    3 => u64::MAX / 512 - rng.next_bounded(4),
+                    2 => n + rng.next_bounded(1 << 31),
+                    // Sorted: the counters' largest values.
+                    3 => u64::from(u32::MAX) - rng.next_bounded(4),
                     // All equal.
                     4 => 7,
                     // One hot page on an otherwise cold device.
                     _ => u64::from(i == len / 2) * rng.next_bounded(1 << 20),
                 })
+                .map(|v| u32::try_from(v).unwrap())
                 .collect();
             assert_gini_matches_sort(&values);
         }
@@ -228,7 +231,7 @@ mod tests {
 
     #[test]
     fn gini_edge_cases_match_sort() {
-        let cases: [&[u64]; 9] = [
+        let cases: [&[u32]; 9] = [
             &[],
             &[9],
             &[0, 0, 0, 0],
@@ -236,7 +239,7 @@ mod tests {
             &[0, 0, 0, 1],
             &[0, 0, 0, 3],
             &[0, 0, 0, 4],
-            &[0, 0, 0, u64::MAX / 8],
+            &[0, 0, 0, u32::MAX],
             &[1, 0, 2, 1, 0],
         ];
         for values in cases {

@@ -58,6 +58,15 @@ impl GaussianSampler {
         self.mean + self.std_dev * standard_normal(rng)
     }
 
+    /// An upper bound on every sample this sampler can return from a
+    /// generator using the default 53-bit [`SimRng::next_unit_f64`]:
+    /// `mean + 12.5 · std_dev`, as no standard-normal variate drawn
+    /// here exceeds 12.01 in magnitude.
+    #[must_use]
+    pub fn max_sample(&self) -> f64 {
+        self.mean + self.std_dev * MAX_STANDARD_NORMAL
+    }
+
     /// Draws one sample truncated below at `floor`.
     ///
     /// Endurance can never be negative; the endurance model clips the
@@ -67,6 +76,13 @@ impl GaussianSampler {
         self.sample(rng).max(floor)
     }
 }
+
+/// A bound on the magnitude of every standard-normal variate drawn
+/// here. The polar method returns `u·√(−2 ln s / s)` with `|u| ≤ √s`,
+/// and `s`, a sum of squares of multiples of 2⁻⁵² (from 53-bit
+/// uniforms), is at least 2⁻¹⁰⁴ when positive, so `|z| ≤ √(208 ln 2)`
+/// ≈ 12.01.
+const MAX_STANDARD_NORMAL: f64 = 12.5;
 
 /// One standard-normal variate via the Marsaglia polar method.
 fn standard_normal(rng: &mut dyn SimRng) -> f64 {
@@ -108,6 +124,18 @@ mod tests {
         for _ in 0..10_000 {
             assert!(gauss.sample_clipped(&mut rng, 1.0) >= 1.0);
         }
+    }
+
+    #[test]
+    fn max_sample_bounds_the_extreme_variate() {
+        // The polar method's most extreme variate, at the smallest
+        // positive `s` that 53-bit uniforms can produce.
+        let u = 2f64.powi(-52);
+        let s = u * u;
+        let z = u * (-2.0 * s.ln() / s).sqrt();
+        assert!(z > 12.0 && z < MAX_STANDARD_NORMAL, "z = {z}");
+        let gauss = GaussianSampler::new(100.0, 10.0);
+        assert_eq!(gauss.max_sample(), 100.0 + 10.0 * MAX_STANDARD_NORMAL);
     }
 
     #[test]

@@ -40,16 +40,17 @@ pub struct WearSummary {
 }
 
 impl WearSummary {
-    /// Summarizes a slice of per-page wear counts.
+    /// Summarizes a slice of per-page wear counts (a device's `u32`
+    /// wear table).
     ///
     /// # Panics
     ///
     /// Panics if `wear` is empty.
     #[must_use]
-    pub fn from_counts(wear: &[u64]) -> Self {
+    pub fn from_counts(wear: &[u32]) -> Self {
         assert!(!wear.is_empty(), "cannot summarize an empty wear map");
         let pages = wear.len() as u64;
-        let total: u64 = wear.iter().sum();
+        let total: u64 = wear.iter().map(|&w| u64::from(w)).sum();
         let mean = total as f64 / pages as f64;
 
         let mut sorted = wear.to_vec();
@@ -83,7 +84,7 @@ impl WearSummary {
 
         let pct = |q: f64| -> u64 {
             let idx = ((q * (pages as f64 - 1.0)).round() as usize).min(sorted.len() - 1);
-            sorted[idx]
+            u64::from(sorted[idx])
         };
 
         let mut histogram = vec![0u64; WEAR_BUCKETS];
@@ -91,7 +92,7 @@ impl WearSummary {
             let idx = if w <= 1 {
                 0
             } else {
-                (63 - w.leading_zeros() as usize).min(WEAR_BUCKETS - 1)
+                (31 - w.leading_zeros() as usize).min(WEAR_BUCKETS - 1)
             };
             histogram[idx] += 1;
         }
@@ -105,7 +106,7 @@ impl WearSummary {
             p50: pct(0.50),
             p90: pct(0.90),
             p99: pct(0.99),
-            max: *sorted.last().expect("non-empty"),
+            max: u64::from(*sorted.last().expect("non-empty")),
             histogram,
         }
     }
@@ -131,7 +132,7 @@ pub struct WearSnapshot {
 /// use twl_telemetry::WearMapSampler;
 ///
 /// let mut sampler = WearMapSampler::new(100, 8);
-/// let mut wear = vec![0u64; 16];
+/// let mut wear = vec![0u32; 16];
 /// for i in 0..250u64 {
 ///     wear[(i % 16) as usize] += 1;
 ///     sampler.observe(1, &wear);
@@ -178,7 +179,7 @@ impl WearMapSampler {
     /// Advances the write clock by `writes`; if one or more sampling
     /// boundaries were crossed, captures ONE snapshot of `wear` (the
     /// current state — intermediate states are gone) and returns it.
-    pub fn observe(&mut self, writes: u64, wear: &[u64]) -> Option<&WearSnapshot> {
+    pub fn observe(&mut self, writes: u64, wear: &[u32]) -> Option<&WearSnapshot> {
         self.seen += writes;
         if self.seen < self.next_due {
             return None;
@@ -200,7 +201,7 @@ impl WearMapSampler {
     }
 
     /// Forces a snapshot right now (end-of-run capture).
-    pub fn snapshot_now(&mut self, wear: &[u64]) -> &WearSnapshot {
+    pub fn snapshot_now(&mut self, wear: &[u32]) -> &WearSnapshot {
         let snapshot = WearSnapshot {
             seq: self.seq,
             at_writes: self.seen,
@@ -241,7 +242,7 @@ mod tests {
 
     #[test]
     fn concentrated_wear_has_high_gini() {
-        let mut wear = vec![0u64; 100];
+        let mut wear = vec![0u32; 100];
         wear[0] = 1_000;
         let s = WearSummary::from_counts(&wear);
         assert!(s.gini > 0.98, "gini {}", s.gini);
@@ -251,7 +252,7 @@ mod tests {
 
     #[test]
     fn histogram_covers_all_pages() {
-        let wear: Vec<u64> = (0..1000).collect();
+        let wear: Vec<u32> = (0..1000).collect();
         let s = WearSummary::from_counts(&wear);
         assert_eq!(s.histogram.iter().sum::<u64>(), 1000);
     }
@@ -259,7 +260,7 @@ mod tests {
     #[test]
     fn sampler_fires_on_cadence_and_bounds_ring() {
         let mut sampler = WearMapSampler::new(10, 3);
-        let wear = vec![1u64; 4];
+        let wear = vec![1u32; 4];
         let mut fired = 0;
         for _ in 0..100 {
             if sampler.observe(1, &wear).is_some() {
@@ -276,7 +277,7 @@ mod tests {
     #[test]
     fn bulk_observe_crossing_many_boundaries_fires_once() {
         let mut sampler = WearMapSampler::new(10, 8);
-        let wear = vec![1u64; 4];
+        let wear = vec![1u32; 4];
         assert!(sampler.observe(35, &wear).is_some());
         assert_eq!(sampler.snapshots().count(), 1);
         // Next boundary is 40: 5 more writes reach it.

@@ -9,6 +9,10 @@ use twl_pcm::{table, LogicalPageAddr, PhysicalPageAddr};
 /// inverse map makes page swaps O(1) and lets tests assert the core
 /// invariant — *the mapping is a permutation at all times* — cheaply.
 ///
+/// Both directions hold `u32` page indices, so a table covers at most
+/// 2³² pages; the paper's 8,388,608-page device needs 23 bits per entry
+/// ([`RemappingTable::entry_bits`]).
+///
 /// # Examples
 ///
 /// ```
@@ -23,8 +27,8 @@ use twl_pcm::{table, LogicalPageAddr, PhysicalPageAddr};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemappingTable {
-    forward: Vec<u64>,
-    inverse: Vec<u64>,
+    forward: Vec<u32>,
+    inverse: Vec<u32>,
 }
 
 impl RemappingTable {
@@ -32,13 +36,14 @@ impl RemappingTable {
     ///
     /// # Panics
     ///
-    /// Panics if `pages == 0`.
+    /// Panics if `pages == 0` or `pages > 2³²`.
     #[must_use]
     pub fn identity(pages: u64) -> Self {
         assert!(pages > 0, "remapping table cannot be empty");
+        let last = u32::try_from(pages - 1).expect("remapping table indexes pages with u32");
         Self {
-            forward: table::collected(pages as usize, 0..pages),
-            inverse: table::collected(pages as usize, 0..pages),
+            forward: table::collected(pages as usize, 0..=last),
+            inverse: table::collected(pages as usize, 0..=last),
         }
     }
 
@@ -61,7 +66,7 @@ impl RemappingTable {
     /// Panics if `la` is out of range.
     #[must_use]
     pub fn translate(&self, la: LogicalPageAddr) -> PhysicalPageAddr {
-        PhysicalPageAddr::new(self.forward[la.as_usize()])
+        PhysicalPageAddr::new(u64::from(self.forward[la.as_usize()]))
     }
 
     /// Physical → logical reverse translation.
@@ -71,7 +76,7 @@ impl RemappingTable {
     /// Panics if `pa` is out of range.
     #[must_use]
     pub fn reverse(&self, pa: PhysicalPageAddr) -> LogicalPageAddr {
-        LogicalPageAddr::new(self.inverse[pa.as_usize()])
+        LogicalPageAddr::new(u64::from(self.inverse[pa.as_usize()]))
     }
 
     /// Swaps the logical contents of two physical pages: whatever logical
@@ -84,12 +89,13 @@ impl RemappingTable {
     ///
     /// Panics if either address is out of range.
     pub fn swap_physical(&mut self, a: PhysicalPageAddr, b: PhysicalPageAddr) {
-        let la_a = self.inverse[a.as_usize()];
-        let la_b = self.inverse[b.as_usize()];
-        self.forward[la_a as usize] = b.index();
-        self.forward[la_b as usize] = a.index();
-        self.inverse[a.as_usize()] = la_b;
-        self.inverse[b.as_usize()] = la_a;
+        // `forward[inverse[x]] == x` holds for every frame `x`, so
+        // swapping the two logical pages' entries points each at the
+        // other frame.
+        let la_a = self.inverse[a.as_usize()] as usize;
+        let la_b = self.inverse[b.as_usize()] as usize;
+        self.forward.swap(la_a, la_b);
+        self.inverse.swap(a.as_usize(), b.as_usize());
     }
 
     /// Swaps the physical frames of two logical pages.
@@ -109,7 +115,7 @@ impl RemappingTable {
         self.forward
             .iter()
             .enumerate()
-            .all(|(la, &pa)| self.inverse.get(pa as usize) == Some(&(la as u64)))
+            .all(|(la, &pa)| self.inverse.get(pa as usize).map(|&l| l as usize) == Some(la))
     }
 
     /// Bits per entry for the hardware-overhead model: ⌈log₂ pages⌉.

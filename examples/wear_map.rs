@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             match scheme.write(workload.next_write_la(), &mut device) {
                 Ok(out) => {
                     if let Some(snapshot) =
-                        sampler.observe(u64::from(out.device_writes), device.wear_counters())
+                        sampler.observe(u64::from(out.device_writes), device.wear_table())
                     {
                         tossup_wl::telemetry::emit(&TelemetryRecord::Wear {
                             scheme: kind.label().to_owned(),
@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                 }
             }
         }
-        let summary = sampler.snapshot_now(device.wear_counters()).summary.clone();
+        let summary = sampler.snapshot_now(device.wear_table()).summary.clone();
         let stats = device.wear_stats();
         println!(
             "\n=== {} ===  writes: {}{}  gini {:.3}  max wear-ratio {:.2}",
