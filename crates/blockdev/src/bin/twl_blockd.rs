@@ -110,11 +110,12 @@ fn run(args: &[String]) -> Result<(), String> {
     let args = parse_args(args)?;
     let server = BlockServer::bind(&args.config, args.addr.as_str(), args.control_addr.as_str())
         .map_err(|e| format!("cannot start: {e}"))?;
+    let geometry = server.geometry();
     println!(
         "twl-blockd serving {} pages x {} B ({}) via {}",
-        args.config.gateway.pages,
-        args.config.bytes_per_page,
-        human_bytes(args.config.geometry().export_bytes()),
+        geometry.data_pages,
+        geometry.bytes_per_page,
+        human_bytes(geometry.export_bytes()),
         args.config.gateway.scheme
     );
     println!("twl-blockd listening on {}", server.data_addr());

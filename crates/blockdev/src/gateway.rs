@@ -111,6 +111,13 @@ pub enum GatewayError {
     Device(PcmError),
     /// The spare pool is exhausted; the export is read-only from here.
     EndOfLife,
+    /// A write addressed a page at or past the ones the scheme manages.
+    OutOfRange {
+        /// The page addressed.
+        page: u64,
+        /// Pages the scheme manages (the export's page count).
+        pages: u64,
+    },
 }
 
 impl fmt::Display for GatewayError {
@@ -119,6 +126,12 @@ impl fmt::Display for GatewayError {
             Self::Scheme(m) => write!(f, "scheme: {m}"),
             Self::Device(e) => write!(f, "device: {e}"),
             Self::EndOfLife => write!(f, "spare pool exhausted (end of life)"),
+            Self::OutOfRange { page, pages } => {
+                write!(
+                    f,
+                    "page {page} is outside the {pages} pages the scheme manages"
+                )
+            }
         }
     }
 }
@@ -206,6 +219,14 @@ impl WearGateway {
         &self.config
     }
 
+    /// Logical pages the export can address: the scheme's page count,
+    /// which is one fewer than the data region's for Start-Gap (its gap
+    /// frame holds no data).
+    #[must_use]
+    pub fn pages(&self) -> u64 {
+        self.scheme.page_count()
+    }
+
     /// Services (and captures) one logical page write through the
     /// scheme, then lets the fault engine absorb the wear it caused.
     ///
@@ -216,10 +237,19 @@ impl WearGateway {
     ///
     /// # Errors
     ///
+    /// [`GatewayError::OutOfRange`] for a page at or past
+    /// [`WearGateway::pages`] (nothing is captured or written);
     /// [`GatewayError::EndOfLife`] once the spare pool is exhausted
     /// (also set lazily when an absorb exhausts it); other
     /// [`PcmError`]s pass through as [`GatewayError::Device`].
     pub fn write_page(&mut self, la: LogicalPageAddr) -> Result<(), GatewayError> {
+        let pages = self.pages();
+        if la.index() >= pages {
+            return Err(GatewayError::OutOfRange {
+                page: la.index(),
+                pages,
+            });
+        }
         if self.end_of_life {
             return Err(GatewayError::EndOfLife);
         }
@@ -333,6 +363,26 @@ mod tests {
         let back = GatewayConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(back, cfg);
         assert!(GatewayConfig::from_json(&Json::obj([])).is_err());
+    }
+
+    #[test]
+    fn writes_past_the_schemes_pages_are_refused() {
+        let mut gateway = WearGateway::new(GatewayConfig {
+            scheme: "StartGap".parse().unwrap(),
+            ..tiny()
+        })
+        .unwrap();
+        assert_eq!(gateway.pages(), 63, "Start-Gap's gap frame holds no data");
+        gateway.write_page(LogicalPageAddr::new(62)).unwrap();
+        for page in [63, 64, u64::MAX] {
+            let err = gateway.write_page(LogicalPageAddr::new(page)).unwrap_err();
+            assert!(
+                matches!(err, GatewayError::OutOfRange { page: p, pages: 63 } if p == page),
+                "{err}"
+            );
+        }
+        assert_eq!(gateway.capture().len(), 1, "refused pages are not captured");
+        assert_eq!(WearGateway::new(tiny()).unwrap().pages(), 64);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub struct BlockdevConfig {
     /// The wear pipeline behind the export.
     pub gateway: GatewayConfig,
     /// Bytes per simulated PCM page (the wear granularity); the export
-    /// is `gateway.pages × bytes_per_page` bytes.
+    /// is the scheme's page count × `bytes_per_page` bytes.
     pub bytes_per_page: u64,
     /// Directory for `store.img` / `capture.trace` / `meta.json`;
     /// `None` disables persistence.
@@ -72,7 +72,10 @@ impl Default for BlockdevConfig {
 }
 
 impl BlockdevConfig {
-    /// The export geometry this configuration implies.
+    /// The data region's geometry, which sizes the store image. The
+    /// served export is sized from the built scheme instead
+    /// ([`BlockServer::geometry`]); for Start-Gap it is one page
+    /// smaller.
     #[must_use]
     pub fn geometry(&self) -> BlockGeometry {
         BlockGeometry {
@@ -182,12 +185,16 @@ impl BlockServer {
         control_addr: impl ToSocketAddrs,
     ) -> io::Result<Self> {
         let state = restore_or_new(config)?;
+        let geometry = BlockGeometry {
+            bytes_per_page: config.bytes_per_page,
+            data_pages: state.gateway.pages(),
+        };
         let data = TcpListener::bind(data_addr)?;
         let control = TcpListener::bind(control_addr)?;
         let data_addr = data.local_addr()?;
         let control_addr = control.local_addr()?;
         let shared = Arc::new(Shared {
-            geometry: config.geometry(),
+            geometry,
             state: Mutex::new(state),
             state_dir: config.state_dir.clone(),
             idle: idle_deadline(config.idle_timeout_ms),
@@ -200,6 +207,12 @@ impl BlockServer {
             control_addr,
             shared,
         })
+    }
+
+    /// The served export: the built scheme's pages × bytes per page.
+    #[must_use]
+    pub fn geometry(&self) -> BlockGeometry {
+        self.shared.geometry
     }
 
     /// The NBD data port.
@@ -305,7 +318,9 @@ impl ShutdownHandle {
 
 /// Builds fresh state, or restores it from `config.state_dir` when a
 /// `meta.json` is present: the image restores the data bytes, the
-/// capture replays into a fresh wear pipeline.
+/// capture replays into a fresh wear pipeline. The image spans the
+/// whole data region; an export whose scheme manages fewer pages
+/// (Start-Gap) leaves its tail unused.
 fn restore_or_new(config: &BlockdevConfig) -> io::Result<DeviceState> {
     let geometry = config.geometry();
     let meta_path = config.state_dir.as_ref().map(|d| d.join("meta.json"));

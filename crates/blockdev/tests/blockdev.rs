@@ -207,3 +207,33 @@ fn control_port_speaks_twl_wire() {
     ctl.shutdown().expect("shutdown");
     daemon.thread.join().expect("join").expect("run");
 }
+
+/// Start-Gap manages one page fewer than the data region (its gap frame
+/// holds no data), so the export is sized from the built scheme: a
+/// write to the export's last page lands, and one past it is refused
+/// by the range check instead of reaching the scheme.
+#[test]
+fn start_gap_export_serves_its_last_page() {
+    let mut config = test_config(None);
+    config.gateway.pages = 64;
+    config.gateway.scheme = "StartGap".parse().expect("scheme label");
+    let daemon = start(&config);
+
+    let mut client = NbdClient::connect(daemon.data_addr.as_str()).expect("connect");
+    assert_eq!(client.export_bytes(), 63 * 512);
+    let last = client.export_bytes() - 512;
+    client
+        .write(last, &[0x5A; 512])
+        .expect("write the last page");
+    assert_eq!(client.read(last, 512).expect("read back"), vec![0x5A; 512]);
+    match client.write(last + 512, &[0x5A; 512]) {
+        Err(twl_blockdev::NbdError::Server { errno }) => assert_eq!(errno, 22),
+        other => panic!("a write past the export must fail with EINVAL, got {other:?}"),
+    }
+    client.flush().expect("the session is still healthy");
+    client.disconnect().expect("disconnect");
+    assert_eq!(daemon.handle.probe().stats.logical_writes, 1);
+
+    daemon.handle.shutdown();
+    daemon.thread.join().expect("join").expect("run");
+}

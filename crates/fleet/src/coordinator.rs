@@ -359,11 +359,9 @@ fn run_assignment(
                         eprintln!("twl-coordinator: cannot cache cell {key}: {e}");
                     }
                 }
-                let (scheme, workload) =
-                    spec.describe_cell(usize::try_from(*cell).expect("cell index fits usize"));
                 shared
                     .queue
-                    .record_cell(*job_id, *cell, report, scheme, workload, device_writes);
+                    .record_cell(*job_id, *cell, report, device_writes);
             };
             shared
                 .dispatcher
@@ -429,15 +427,9 @@ fn run_fleet_job(shared: &Shared, job: ClaimedJob) {
         let cell = index as u64;
         let hit = shared.cache.as_ref().and_then(|cache| cache.get(&key));
         if let Some(hit) = hit {
-            let (scheme, workload) = spec.describe_cell(index);
-            shared.queue.record_cell(
-                job_id,
-                cell,
-                hit.report.clone(),
-                scheme,
-                workload,
-                hit.device_writes,
-            );
+            shared
+                .queue
+                .record_cell(job_id, cell, hit.report.clone(), hit.device_writes);
             *slot = Some(hit.report);
         } else {
             shared.dispatcher.enqueue(

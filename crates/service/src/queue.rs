@@ -1,15 +1,25 @@
 //! The bounded job queue and job registry.
 //!
 //! One `Mutex<State>` guards everything; two condvars split the
-//! wake-ups: `takers` wakes workers waiting for a job, `watchers` wakes
+//! wake-ups: `takers` wakes workers waiting for work, `watchers` wakes
 //! stream connections waiting for a job's next event. Backpressure is
 //! explicit — a submit against a full queue is *rejected* with a
 //! retry-after hint rather than blocking the connection, so a client
 //! always learns the queue state in bounded time.
+//!
+//! `twl-serviced`'s workers take *cells*, not jobs
+//! ([`JobQueue::claim_cell`]): an idle worker takes the next unclaimed
+//! cell of the oldest started job that still has one, and starts the
+//! next queued job only when no started job has, so jobs keep their
+//! FIFO order while every worker helps with the oldest. The worker that
+//! records a job's last outstanding cell is handed the job's
+//! [`JobEnding`] and finishes it. The fleet coordinator's planners still
+//! take whole jobs ([`JobQueue::claim`]); a queue serves one or the
+//! other.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use twl_telemetry::json::Json;
@@ -98,6 +108,101 @@ pub struct ClaimedJob {
     pub queued_for: Duration,
 }
 
+/// A started job, shared by every worker that runs one of its cells.
+#[derive(Debug)]
+pub struct RunningJob {
+    /// The job id.
+    pub job_id: u64,
+    /// The spec to run.
+    pub spec: JobSpec,
+    /// When the job started (the wall-time histogram's origin).
+    pub started: Instant,
+    /// Version of the newest checkpoint written, if any.
+    saved: Mutex<Option<u64>>,
+}
+
+impl RunningJob {
+    /// Runs `save` under this job's checkpoint lock, unless a checkpoint
+    /// at least as new as `version` was already written, and returns
+    /// whether it ran. Mid-run checkpoints pass the number of cells they
+    /// hold and the terminal one passes `u64::MAX`, so the saves of
+    /// several workers land on disk in order and none overwrites the
+    /// terminal checkpoint.
+    pub fn save_in_order(&self, version: u64, save: impl FnOnce()) -> bool {
+        let mut saved = self.saved.lock().unwrap_or_else(PoisonError::into_inner);
+        if saved.is_some_and(|newest| newest >= version) {
+            return false;
+        }
+        save();
+        *saved = Some(version);
+        true
+    }
+}
+
+/// One unit of work from [`JobQueue::claim_cell`].
+#[derive(Debug)]
+pub struct CellTask {
+    /// The job the work belongs to.
+    pub job: Arc<RunningJob>,
+    /// What to do.
+    pub work: CellWork,
+    /// Set when this claim started the job.
+    pub start: Option<JobStart>,
+}
+
+/// What a [`CellTask`] asks of its worker.
+#[derive(Debug)]
+pub enum CellWork {
+    /// Run this cell, then report it through [`JobQueue::complete_cell`].
+    Run(usize),
+    /// No cell of the job is left to run or running: finish the job.
+    Finish(JobEnding),
+}
+
+/// What the worker that started a job learns about it.
+#[derive(Debug)]
+pub struct JobStart {
+    /// How long the job sat queued (restored jobs count from the daemon
+    /// restart, not the original submit).
+    pub queued_for: Duration,
+    /// Cells already finished (non-empty when resuming a checkpoint).
+    pub completed_cells: BTreeMap<u64, Json>,
+}
+
+/// How a job ends once none of its cells is left to run or running.
+#[derive(Debug)]
+pub struct JobEnding {
+    /// `Completed`, `Failed` or `Cancelled`.
+    pub status: JobStatus,
+    /// Every cell finished, by index.
+    pub completed_cells: BTreeMap<u64, Json>,
+    /// The failure message, unless the job completed.
+    pub error: Option<String>,
+}
+
+/// What [`JobQueue::complete_cell`] hands back to the worker.
+#[derive(Debug, Default)]
+pub struct CellRecorded {
+    /// The completed cells to checkpoint, when the job crossed its
+    /// checkpoint interval with this cell.
+    pub checkpoint: Option<BTreeMap<u64, Json>>,
+    /// Set when this was the job's last outstanding cell: the caller
+    /// finishes the job.
+    pub ending: Option<JobEnding>,
+}
+
+/// The cell-level state of a job started by [`JobQueue::claim_cell`].
+#[derive(Debug)]
+struct CellRun {
+    job: Arc<RunningJob>,
+    /// Cells not yet handed out, highest index first (so `pop` walks
+    /// the matrix in order).
+    todo: Vec<usize>,
+    in_flight: usize,
+    failure: Option<String>,
+    writes_since_checkpoint: u64,
+}
+
 #[derive(Debug)]
 struct JobEntry {
     spec: JobSpec,
@@ -116,6 +221,7 @@ struct JobEntry {
     cells_run: u64,
     writes_done: u64,
     rate_wps: f64,
+    run: Option<CellRun>,
 }
 
 impl JobEntry {
@@ -135,7 +241,90 @@ impl JobEntry {
             cells_run: 0,
             writes_done: 0,
             rate_wps: 0.0,
+            run: None,
         }
+    }
+
+    /// Moves the job to `Running`, starts its progress clock, and
+    /// publishes the `Started` event.
+    fn start(&mut self) {
+        self.status = JobStatus::Running;
+        self.started_at = Some(Instant::now());
+        self.last_cell_at = None;
+        self.cells_run = 0;
+        self.events.push(JobEvent::Started);
+    }
+
+    /// Stores one finished cell, folds its device writes into the EWMA
+    /// throughput, and publishes a progress-carrying `CellDone` event.
+    #[allow(clippy::cast_precision_loss)]
+    fn note_cell(&mut self, cell: u64, report: Json, device_writes: u64) {
+        let now = Instant::now();
+        let (scheme, workload) = self
+            .spec
+            .describe_cell(usize::try_from(cell).expect("cell index fits usize"));
+        self.completed_cells.insert(cell, report);
+        self.writes_done = self.writes_done.saturating_add(device_writes);
+        // Instantaneous rate over this cell's interval, smoothed
+        // exponentially so one slow cell doesn't whipsaw the ETA.
+        let since = self.last_cell_at.or(self.started_at).unwrap_or(now);
+        let dt = now.duration_since(since).as_secs_f64().max(1e-6);
+        let inst = device_writes as f64 / dt;
+        self.rate_wps = if self.cells_run == 0 {
+            inst
+        } else {
+            0.7 * self.rate_wps + 0.3 * inst
+        };
+        self.last_cell_at = Some(now);
+        self.cells_run += 1;
+        let (writes_done, rate_wps, eta_ms) = self.progress();
+        self.events.push(JobEvent::CellDone {
+            cell,
+            total: self.cells_total,
+            scheme,
+            workload,
+            writes_done,
+            rate_wps,
+            eta_ms,
+        });
+    }
+
+    /// The job's next piece of cell work, if it has one now: its next
+    /// unclaimed cell, or its ending (see `take_ending`).
+    fn next_work(&mut self) -> Option<(Arc<RunningJob>, CellWork)> {
+        let run = self.run.as_mut()?;
+        if let Some(index) = run.todo.pop() {
+            run.in_flight += 1;
+            return Some((Arc::clone(&run.job), CellWork::Run(index)));
+        }
+        self.take_ending()
+            .map(|(job, ending)| (job, CellWork::Finish(ending)))
+    }
+
+    /// Once none of the job's cells is left to claim or running, closes
+    /// its cell run and returns its ending.
+    fn take_ending(&mut self) -> Option<(Arc<RunningJob>, JobEnding)> {
+        if !self
+            .run
+            .as_ref()
+            .is_some_and(|r| r.todo.is_empty() && r.in_flight == 0)
+        {
+            return None;
+        }
+        let run = self.run.take()?;
+        let (status, error) = match run.failure {
+            Some(message) => (JobStatus::Failed, Some(message)),
+            None if self.completed_cells.len() as u64 == self.cells_total => {
+                (JobStatus::Completed, None)
+            }
+            None => (JobStatus::Cancelled, Some("job cancelled".to_owned())),
+        };
+        let ending = JobEnding {
+            status,
+            completed_cells: self.completed_cells.clone(),
+            error,
+        };
+        Some((run.job, ending))
     }
 
     /// The optional progress triple (writes, EWMA rate, ETA) for
@@ -192,8 +381,27 @@ impl JobEntry {
 struct State {
     next_id: u64,
     pending: VecDeque<u64>,
+    /// Jobs started by [`JobQueue::claim_cell`] whose ending has not
+    /// been handed out yet, oldest first.
+    started: VecDeque<u64>,
     jobs: BTreeMap<u64, JobEntry>,
     shutting_down: bool,
+}
+
+impl State {
+    /// The next cell work of the oldest started job that has any.
+    fn next_started_work(&mut self) -> Option<(Arc<RunningJob>, CellWork)> {
+        let jobs = &mut self.jobs;
+        let (position, work) = self.started.iter().enumerate().find_map(|(position, id)| {
+            jobs.get_mut(id)
+                .and_then(JobEntry::next_work)
+                .map(|work| (position, work))
+        })?;
+        if matches!(work.1, CellWork::Finish(_)) {
+            self.started.remove(position);
+        }
+        Some(work)
+    }
 }
 
 /// The bounded job queue shared by connections and workers.
@@ -225,6 +433,7 @@ impl JobQueue {
             state: Mutex::new(State {
                 next_id: 1,
                 pending: VecDeque::new(),
+                started: VecDeque::new(),
                 jobs: BTreeMap::new(),
                 shutting_down: false,
             }),
@@ -236,9 +445,7 @@ impl JobQueue {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn publish_depth(state: &State) {
@@ -324,9 +531,10 @@ impl JobQueue {
         self.takers.notify_one();
     }
 
-    /// Blocks until a job is available and claims it, or returns `None`
-    /// once the daemon is shutting down (queued jobs stay persisted; a
-    /// worker never starts new work while draining).
+    /// Blocks until a job is available and claims it whole, or returns
+    /// `None` once the daemon is shutting down (queued jobs stay
+    /// persisted; a planner never starts new work while draining). The
+    /// fleet coordinator's planners claim this way.
     pub fn claim(&self) -> Option<ClaimedJob> {
         let mut state = self.lock();
         loop {
@@ -347,8 +555,125 @@ impl JobQueue {
             state = self
                 .takers
                 .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// Blocks until there is cell work and claims it, or returns `None`
+    /// once the daemon is shutting down and no started job has work
+    /// left (a draining daemon finishes the jobs it started but starts
+    /// no queued one).
+    ///
+    /// Work comes from the oldest started job that has any: its next
+    /// unclaimed cell in matrix order, or its ending once none of its
+    /// cells is left to claim or running. Only when no started job has
+    /// work does the claim start the next queued job (moving it to
+    /// `Running` and publishing `Started`), and then the task carries a
+    /// [`JobStart`].
+    pub fn claim_cell(&self) -> Option<CellTask> {
+        let mut state = self.lock();
+        let mut start = None;
+        loop {
+            if let Some((job, work)) = state.next_started_work() {
+                drop(state);
+                if start.is_some() {
+                    // Idle workers can help with the new job's other cells.
+                    self.takers.notify_all();
+                    self.watchers.notify_all();
+                }
+                return Some(CellTask { job, work, start });
+            }
+            if state.shutting_down {
+                return None;
+            }
+            if let Some(job_id) = state.pending.pop_front() {
+                Self::publish_depth(&state);
+                let entry = state.jobs.get_mut(&job_id).expect("pending job exists");
+                entry.start();
+                start = Some(JobStart {
+                    queued_for: entry.submitted_at.elapsed(),
+                    completed_cells: entry.completed_cells.clone(),
+                });
+                let total = usize::try_from(entry.cells_total).expect("cell count fits usize");
+                let todo = (0..total)
+                    .rev()
+                    .filter(|&i| !entry.completed_cells.contains_key(&(i as u64)))
+                    .collect();
+                entry.run = Some(CellRun {
+                    job: Arc::new(RunningJob {
+                        job_id,
+                        spec: entry.spec.clone(),
+                        started: Instant::now(),
+                        saved: Mutex::new(None),
+                    }),
+                    todo,
+                    in_flight: 0,
+                    failure: None,
+                    writes_since_checkpoint: 0,
+                });
+                // No older started job has work, so the next pass hands
+                // out this one's first cell (or, with every cell already
+                // done, its ending).
+                state.started.push_back(job_id);
+                continue;
+            }
+            state = self
+                .takers
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Records the outcome of a cell claimed through
+    /// [`JobQueue::claim_cell`]: a report and its device writes, or the
+    /// message of a cell that panicked (which fails the job: no further
+    /// cell of it is handed out). With `checkpoint_every`, the job's
+    /// device writes since its last checkpoint are counted, and the
+    /// completed cells come back to be saved once they reach it. When
+    /// this was the job's last outstanding cell, the job's ending comes
+    /// back too, and the caller finishes the job.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job has no cell run (the cell was not claimed
+    /// through [`JobQueue::claim_cell`]).
+    pub fn complete_cell(
+        &self,
+        job_id: u64,
+        cell: usize,
+        outcome: Result<(Json, u64), String>,
+        checkpoint_every: Option<u64>,
+    ) -> CellRecorded {
+        let mut state = self.lock();
+        let entry = state.jobs.get_mut(&job_id).expect("claimed job exists");
+        let run = entry.run.as_mut().expect("cell of a started job");
+        run.in_flight -= 1;
+        let mut recorded = CellRecorded::default();
+        match outcome {
+            Ok((report, device_writes)) => {
+                run.writes_since_checkpoint += device_writes;
+                let due =
+                    checkpoint_every.is_some_and(|every| run.writes_since_checkpoint >= every);
+                if due {
+                    run.writes_since_checkpoint = 0;
+                }
+                entry.note_cell(cell as u64, report, device_writes);
+                if due {
+                    recorded.checkpoint = Some(entry.completed_cells.clone());
+                }
+            }
+            Err(message) => {
+                run.todo.clear();
+                run.failure.get_or_insert(message);
+            }
+        }
+        if let Some((_, ending)) = entry.take_ending() {
+            state.started.retain(|&id| id != job_id);
+            recorded.ending = Some(ending);
+        }
+        drop(state);
+        self.watchers.notify_all();
+        recorded
     }
 
     /// Marks a claimed job running, starts its progress clock, and
@@ -356,11 +681,7 @@ impl JobQueue {
     pub fn mark_running(&self, job_id: u64) {
         let mut state = self.lock();
         if let Some(entry) = state.jobs.get_mut(&job_id) {
-            entry.status = JobStatus::Running;
-            entry.started_at = Some(Instant::now());
-            entry.last_cell_at = None;
-            entry.cells_run = 0;
-            entry.events.push(JobEvent::Started);
+            entry.start();
         }
         drop(state);
         self.watchers.notify_all();
@@ -369,55 +690,24 @@ impl JobQueue {
     /// Records one finished cell (with the device writes it performed),
     /// folds the writes into the job's EWMA throughput, and publishes a
     /// progress-carrying `CellDone` event.
-    #[allow(clippy::cast_precision_loss)]
-    pub fn record_cell(
-        &self,
-        job_id: u64,
-        cell: u64,
-        report: Json,
-        scheme: String,
-        workload: String,
-        device_writes: u64,
-    ) {
+    pub fn record_cell(&self, job_id: u64, cell: u64, report: Json, device_writes: u64) {
         let mut state = self.lock();
         if let Some(entry) = state.jobs.get_mut(&job_id) {
-            let now = Instant::now();
-            entry.completed_cells.insert(cell, report);
-            entry.writes_done = entry.writes_done.saturating_add(device_writes);
-            // Instantaneous rate over this cell's interval, smoothed
-            // exponentially so one slow cell doesn't whipsaw the ETA.
-            let since = entry.last_cell_at.or(entry.started_at).unwrap_or(now);
-            let dt = now.duration_since(since).as_secs_f64().max(1e-6);
-            let inst = device_writes as f64 / dt;
-            entry.rate_wps = if entry.cells_run == 0 {
-                inst
-            } else {
-                0.7 * entry.rate_wps + 0.3 * inst
-            };
-            entry.last_cell_at = Some(now);
-            entry.cells_run += 1;
-            let total = entry.cells_total;
-            let (writes_done, rate_wps, eta_ms) = entry.progress();
-            entry.events.push(JobEvent::CellDone {
-                cell,
-                total,
-                scheme,
-                workload,
-                writes_done,
-                rate_wps,
-                eta_ms,
-            });
+            entry.note_cell(cell, report, device_writes);
         }
         drop(state);
         self.watchers.notify_all();
     }
 
     /// Publishes a `Checkpointed` event after the executor persisted
-    /// progress.
+    /// progress (unless the job already finished, so `Finished` stays
+    /// the last event).
     pub fn record_checkpoint(&self, job_id: u64, cells_done: u64) {
         let mut state = self.lock();
         if let Some(entry) = state.jobs.get_mut(&job_id) {
-            entry.events.push(JobEvent::Checkpointed { cells_done });
+            if !entry.status.is_terminal() {
+                entry.events.push(JobEvent::Checkpointed { cells_done });
+            }
         }
         drop(state);
         self.watchers.notify_all();
@@ -456,8 +746,8 @@ impl JobQueue {
     }
 
     /// Requests cancellation. Queued jobs are finished as cancelled on
-    /// the spot; running jobs get their flag set and stop at the next
-    /// cell boundary. Returns `None` for an unknown job and
+    /// the spot; running jobs get their flag set and no further cell of
+    /// them is claimed (cells already running finish). Returns `None` for an unknown job and
     /// `Some(false)` for one already terminal.
     pub fn cancel(&self, job_id: u64) -> Option<bool> {
         let mut state = self.lock();
@@ -466,6 +756,14 @@ impl JobQueue {
             JobStatus::Completed | JobStatus::Failed | JobStatus::Cancelled => Some(false),
             JobStatus::Running => {
                 entry.cancel.store(true, Ordering::Relaxed);
+                if let Some(run) = entry.run.as_mut() {
+                    // No further cell is handed out; the job ends once
+                    // its running cells report, or at the next claim if
+                    // none is running.
+                    run.todo.clear();
+                    drop(state);
+                    self.takers.notify_all();
+                }
                 Some(true)
             }
             JobStatus::Queued => {
@@ -551,7 +849,7 @@ impl JobQueue {
             state = self
                 .watchers
                 .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -601,6 +899,183 @@ mod tests {
             benchmarks: vec![],
             fault: None,
         }
+    }
+
+    fn four_cells() -> JobSpec {
+        let mut spec = spec();
+        spec.schemes = vec![SchemeKind::Nowl.into(), SchemeKind::TwlSwp.into()];
+        spec.attacks = vec![AttackKind::Repeat.into(), AttackKind::Scan.into()];
+        spec
+    }
+
+    fn run_index(task: &CellTask) -> usize {
+        match task.work {
+            CellWork::Run(index) => index,
+            CellWork::Finish(_) => panic!("expected a cell, got the job's ending"),
+        }
+    }
+
+    fn done(queue: &JobQueue, task: &CellTask, every: Option<u64>) -> CellRecorded {
+        let index = run_index(task);
+        queue.complete_cell(
+            task.job.job_id,
+            index,
+            Ok((twl_telemetry::json::int(index as u64), 10)),
+            every,
+        )
+    }
+
+    #[test]
+    fn cell_claims_help_the_oldest_job_before_starting_the_next() {
+        let queue = JobQueue::new(8, 100);
+        let first = queue.submit(four_cells()).unwrap();
+        let second = queue.submit(four_cells()).unwrap();
+        let a = queue.claim_cell().unwrap();
+        assert_eq!((a.job.job_id, run_index(&a)), (first, 0));
+        assert!(a.start.is_some(), "the first claim starts the job");
+        assert_eq!(queue.snapshot(Some(first))[0].status, "running");
+        assert_eq!(queue.depth(), 1, "the second job is still queued");
+        // Three more workers: all on the first job, in matrix order.
+        let rest: Vec<CellTask> = (0..3).map(|_| queue.claim_cell().unwrap()).collect();
+        for (task, want) in rest.iter().zip(1..) {
+            assert_eq!((task.job.job_id, run_index(task)), (first, want));
+            assert!(task.start.is_none());
+        }
+        // The first job has nothing left to claim: the next claim starts
+        // the second one while the first job's cells still run.
+        let b = queue.claim_cell().unwrap();
+        assert_eq!((b.job.job_id, run_index(&b)), (second, 0));
+        assert!(b.start.is_some());
+        // Out-of-order completions; only the last one ends the job.
+        for task in [&rest[2], &a, &rest[0]] {
+            assert!(done(&queue, task, None).ending.is_none());
+        }
+        let ending = done(&queue, &rest[1], None)
+            .ending
+            .expect("last cell ends the job");
+        assert_eq!(ending.status, JobStatus::Completed);
+        assert_eq!(
+            ending.completed_cells.keys().copied().collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
+        assert_eq!(ending.error, None);
+    }
+
+    #[test]
+    fn cancel_stops_cell_claims_and_ends_the_job_once_its_cells_report() {
+        let queue = JobQueue::new(8, 100);
+        let id = queue.submit(four_cells()).unwrap();
+        let later = queue.submit(spec()).unwrap();
+        let a = queue.claim_cell().unwrap();
+        let b = queue.claim_cell().unwrap();
+        assert_eq!(queue.cancel(id), Some(true));
+        // No cell of the cancelled job is handed out after the cancel:
+        // the next claim starts the next job instead.
+        let c = queue.claim_cell().unwrap();
+        assert_eq!(c.job.job_id, later);
+        // The running cells still report; the last of them ends the job.
+        assert!(done(&queue, &a, None).ending.is_none());
+        let ending = done(&queue, &b, None)
+            .ending
+            .expect("ends the cancelled job");
+        assert_eq!(ending.status, JobStatus::Cancelled);
+        assert_eq!(ending.completed_cells.len(), 2);
+        assert_eq!(ending.error.as_deref(), Some("job cancelled"));
+    }
+
+    #[test]
+    fn cancel_between_cells_hands_the_ending_to_the_next_claim() {
+        let queue = JobQueue::new(8, 100);
+        let id = queue.submit(four_cells()).unwrap();
+        let a = queue.claim_cell().unwrap();
+        assert!(done(&queue, &a, None).ending.is_none());
+        assert_eq!(queue.cancel(id), Some(true));
+        let task = queue.claim_cell().unwrap();
+        let CellWork::Finish(ending) = task.work else {
+            panic!("expected the cancelled job's ending");
+        };
+        assert_eq!((task.job.job_id, ending.status), (id, JobStatus::Cancelled));
+        // Handed out once: the queue is idle again.
+        queue.begin_shutdown();
+        assert!(queue.claim_cell().is_none());
+    }
+
+    #[test]
+    fn a_failed_cell_fails_the_job_without_further_claims() {
+        let queue = JobQueue::new(8, 100);
+        let id = queue.submit(four_cells()).unwrap();
+        let later = queue.submit(spec()).unwrap();
+        let a = queue.claim_cell().unwrap();
+        let b = queue.claim_cell().unwrap();
+        let failed = queue.complete_cell(id, run_index(&a), Err("boom".to_owned()), None);
+        assert!(failed.ending.is_none(), "cell 1 is still running");
+        assert_eq!(queue.claim_cell().unwrap().job.job_id, later);
+        let ending = done(&queue, &b, None).ending.expect("ends the failed job");
+        assert_eq!(ending.status, JobStatus::Failed);
+        assert_eq!(ending.error.as_deref(), Some("boom"));
+    }
+
+    #[test]
+    fn resumed_cells_are_skipped_and_checkpoints_follow_the_interval() {
+        let queue = JobQueue::new(8, 100);
+        let mut cells = BTreeMap::new();
+        cells.insert(1u64, Json::Null);
+        queue.restore(3, four_cells(), JobStatus::Running, cells, None, None);
+        let claims: Vec<CellTask> = (0..3).map(|_| queue.claim_cell().unwrap()).collect();
+        let indices: Vec<usize> = claims.iter().map(run_index).collect();
+        assert_eq!(indices, vec![0, 2, 3], "cell 1 came from the checkpoint");
+        assert_eq!(claims[0].start.as_ref().unwrap().completed_cells.len(), 1);
+        // Every 20 device writes: each cell reports 10.
+        assert!(done(&queue, &claims[0], Some(20)).checkpoint.is_none());
+        let due = done(&queue, &claims[1], Some(20))
+            .checkpoint
+            .expect("interval crossed");
+        assert_eq!(due.keys().copied().collect::<Vec<_>>(), vec![0, 1, 2]);
+        let last = done(&queue, &claims[2], Some(20));
+        assert!(last.checkpoint.is_none());
+        assert_eq!(last.ending.unwrap().status, JobStatus::Completed);
+
+        // A resumed job with every cell done ends at its first claim.
+        let mut all = BTreeMap::new();
+        all.insert(0u64, Json::Null);
+        queue.restore(9, spec(), JobStatus::Running, all, None, None);
+        let task = queue.claim_cell().unwrap();
+        assert!(task.start.is_some());
+        assert!(matches!(
+            task.work,
+            CellWork::Finish(JobEnding {
+                status: JobStatus::Completed,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn checkpoints_save_in_order() {
+        let queue = JobQueue::new(8, 100);
+        queue.submit(spec()).unwrap();
+        let task = queue.claim_cell().unwrap();
+        let job = &task.job;
+        assert!(job.save_in_order(2, || {}));
+        assert!(!job.save_in_order(1, || panic!("an older save must not run")));
+        assert!(job.save_in_order(u64::MAX, || {}));
+        assert!(!job.save_in_order(3, || panic!("nothing overwrites the terminal save")));
+    }
+
+    #[test]
+    fn draining_workers_finish_started_jobs_but_start_none() {
+        let queue = JobQueue::new(8, 100);
+        let id = queue.submit(four_cells()).unwrap();
+        queue.submit(spec()).unwrap();
+        let a = queue.claim_cell().unwrap();
+        queue.begin_shutdown();
+        let rest: Vec<CellTask> = (0..3).map(|_| queue.claim_cell().unwrap()).collect();
+        assert!(rest.iter().all(|t| t.job.job_id == id));
+        assert!(queue.claim_cell().is_none(), "the queued job stays queued");
+        for task in rest.iter().chain([&a]) {
+            done(&queue, task, None);
+        }
+        assert_eq!(queue.depth(), 1);
     }
 
     #[test]
@@ -696,7 +1171,7 @@ mod tests {
         let claimed = queue.claim().unwrap();
         assert!(claimed.queued_for.as_nanos() > 0);
         queue.mark_running(id);
-        queue.record_cell(id, 0, Json::Null, "NOWL".into(), "repeat".into(), 5_000);
+        queue.record_cell(id, 0, Json::Null, 5_000);
 
         // Running with 1 of 2 cells done: all three fields live.
         let snap = &queue.snapshot(Some(id))[0];
@@ -714,7 +1189,7 @@ mod tests {
         assert_eq!(writes_done, Some(5_000));
         assert!(rate_wps.unwrap() > 0.0);
 
-        queue.record_cell(id, 1, Json::Null, "NOWL".into(), "scan".into(), 7_000);
+        queue.record_cell(id, 1, Json::Null, 7_000);
         queue.finish(id, JobStatus::Completed, Some(Json::Null), None);
 
         // Terminal: the total sticks, the ETA is gone.
@@ -743,7 +1218,7 @@ mod tests {
             })
         };
         queue.mark_running(id);
-        queue.record_cell(id, 0, Json::Null, "NOWL".into(), "repeat".into(), 1_000);
+        queue.record_cell(id, 0, Json::Null, 1_000);
         queue.finish(id, JobStatus::Completed, Some(Json::Null), None);
         let seen = watcher.join().unwrap();
         assert_eq!(seen[0], JobEvent::Queued);

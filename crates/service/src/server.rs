@@ -1,10 +1,17 @@
 //! The `twl-serviced` daemon: its `twl-wire/v1` request handler and
 //! the worker pool that executes jobs.
 //!
-//! Concurrency model: within a job, cells run sequentially (that is
-//! the checkpointable unit); parallelism comes from the worker pool
-//! running different jobs on different threads, sized exactly like the
-//! in-process matrix helpers via
+//! Concurrency model: the unit of work is a cell. Each worker takes the
+//! next cell from the queue ([`JobQueue::claim_cell`]): the next
+//! unclaimed cell of the oldest started job, or, when no started job
+//! has one, the first cell of the next queued job. So one job's cells
+//! run on every worker at once, and jobs still start in FIFO order. A
+//! cell is a pure function of its spec and index, so the assembled
+//! result does not depend on which worker ran which cell or in what
+//! order: it is byte-identical for every worker count. The worker that
+//! records a job's last outstanding cell assembles the result in matrix
+//! order, writes the terminal checkpoint and publishes the job. The pool
+//! is sized exactly like the in-process matrix helpers via
 //! [`twl_lifetime::pool::configured_parallelism`] (so `TWL_THREADS`
 //! is honored in one place for the whole workspace).
 //!
@@ -19,7 +26,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use twl_lifetime::pool;
 use twl_telemetry::prom::{render_exposition, PromWriter};
@@ -28,7 +35,7 @@ use twl_telemetry::{counter, gauge, histogram, ScopeGuard};
 use crate::checkpoint::{Checkpoint, CheckpointDir};
 use crate::job::encode_result;
 use crate::net::{serve, Reply, WireHandler};
-use crate::queue::{ClaimedJob, JobQueue, JobStatus};
+use crate::queue::{CellTask, CellWork, JobEnding, JobQueue, JobStatus, RunningJob};
 use crate::wire::{Request, Response};
 
 /// Test hook: when this environment variable holds `N`, the daemon
@@ -151,9 +158,9 @@ impl Server {
                 let daemon = Arc::clone(&self.daemon);
                 let interval = self.checkpoint_interval_writes;
                 thread::spawn(move || {
-                    while let Some(job) = daemon.queue.claim() {
+                    while let Some(task) = daemon.queue.claim_cell() {
                         gauge!("twl.service.workers.busy").add(1);
-                        execute_job(&daemon.queue, daemon.checkpoints.as_ref(), interval, job);
+                        run_task(&daemon.queue, daemon.checkpoints.as_ref(), interval, task);
                         gauge!("twl.service.workers.busy").add(-1);
                     }
                 })
@@ -194,6 +201,34 @@ fn save_checkpoint(
     }
 }
 
+/// Saves a started job's checkpoint under a `job.checkpoint` span, in
+/// order with the saves of the job's other workers
+/// ([`RunningJob::save_in_order`]); returns whether it was written.
+#[allow(clippy::too_many_arguments)]
+fn checkpoint_job(
+    dir: &CheckpointDir,
+    job: &RunningJob,
+    job_label: &str,
+    version: u64,
+    status: JobStatus,
+    completed_cells: &BTreeMap<u64, twl_telemetry::json::Json>,
+    result: Option<twl_telemetry::json::Json>,
+    error: Option<String>,
+) -> bool {
+    job.save_in_order(version, || {
+        let _cp_span = twl_telemetry::span!("job.checkpoint", job_label.to_owned());
+        save_checkpoint(
+            dir,
+            job.job_id,
+            &job.spec,
+            status,
+            completed_cells,
+            result,
+            error,
+        );
+    })
+}
+
 /// Simulated-crash test hook (see [`EXIT_AFTER_CHECKPOINTS_ENV`]).
 fn maybe_exit_after_checkpoint() {
     static WRITTEN: AtomicU64 = AtomicU64::new(0);
@@ -220,113 +255,95 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one claimed job to a terminal state, checkpointing along the
-/// way. Cells already present in `job.completed_cells` (a resumed
-/// checkpoint) are skipped; everything else re-runs, so the assembled
-/// result is bit-identical to an uninterrupted run.
-fn execute_job(queue: &JobQueue, dir: Option<&CheckpointDir>, interval: u64, job: ClaimedJob) {
+/// Does one piece of a job's work on the calling worker: starts the job
+/// (when this claim did), runs a cell, checkpoints once the job crosses
+/// its interval, and finishes the job when its last cell is in. Cells
+/// already present in a resumed checkpoint are never handed out, so the
+/// assembled result is bit-identical to an uninterrupted run.
+///
+/// The worker labels its thread with the job's trace scope for the
+/// whole task, so the spans of every cell reach `job-<id>.trace.jsonl`
+/// whichever worker ran it.
+fn run_task(queue: &JobQueue, dir: Option<&CheckpointDir>, interval: u64, task: CellTask) {
+    let job = &task.job;
     let job_label = format!("job-{}", job.job_id);
     let _scope = ScopeGuard::new(job_label.clone());
-    let queue_wait_us = u64::try_from(job.queued_for.as_micros()).unwrap_or(u64::MAX);
-    histogram!("twl.service.job.queue_wait_ms").record(queue_wait_us / 1_000);
-    // The wait ended before execution began, so it is recorded as a
-    // sibling of the job span, not a child (emitted before the guard
-    // opens, while this thread's span stack is empty).
-    twl_telemetry::emit_measured("job.queue_wait", job_label.clone(), queue_wait_us, 1);
-    let job_span = twl_telemetry::span!("job", job_label.clone());
-    let started = Instant::now();
-    queue.mark_running(job.job_id);
-    if let Some(dir) = dir {
-        let _cp_span = twl_telemetry::span!("job.checkpoint", job_label.clone());
-        save_checkpoint(
-            dir,
-            job.job_id,
-            &job.spec,
-            JobStatus::Running,
-            &job.completed_cells,
-            None,
-            None,
-        );
+    if let Some(start) = task.start {
+        let queue_wait_us = u64::try_from(start.queued_for.as_micros()).unwrap_or(u64::MAX);
+        histogram!("twl.service.job.queue_wait_ms").record(queue_wait_us / 1_000);
+        // The wait ended before execution began, so it is recorded
+        // while this thread's span stack is empty.
+        twl_telemetry::emit_measured("job.queue_wait", job_label.clone(), queue_wait_us, 1);
+        if let Some(dir) = dir {
+            let done = start.completed_cells.len() as u64;
+            let cells = &start.completed_cells;
+            checkpoint_job(
+                dir,
+                job,
+                &job_label,
+                done,
+                JobStatus::Running,
+                cells,
+                None,
+                None,
+            );
+        }
     }
-
-    let total = job.spec.cell_count();
-    let mut completed = job.completed_cells;
-    let mut writes_since_checkpoint = 0u64;
-    let mut failure: Option<String> = None;
-    let mut cancelled = false;
-
-    for index in 0..total {
-        if job.cancel.load(Ordering::Relaxed) {
-            cancelled = true;
-            break;
-        }
-        let cell = index as u64;
-        if completed.contains_key(&cell) {
-            continue;
-        }
-        match panic::catch_unwind(AssertUnwindSafe(|| job.spec.run_cell(index))) {
-            Ok((report, device_writes)) => {
-                let (scheme, workload) = job.spec.describe_cell(index);
-                completed.insert(cell, report.clone());
-                queue.record_cell(job.job_id, cell, report, scheme, workload, device_writes);
-                writes_since_checkpoint += device_writes;
-                if let Some(dir) = dir {
-                    if writes_since_checkpoint >= interval {
-                        let _cp_span = twl_telemetry::span!("job.checkpoint", job_label.clone());
-                        save_checkpoint(
-                            dir,
-                            job.job_id,
-                            &job.spec,
-                            JobStatus::Running,
-                            &completed,
-                            None,
-                            None,
-                        );
-                        writes_since_checkpoint = 0;
-                        queue.record_checkpoint(job.job_id, completed.len() as u64);
-                        maybe_exit_after_checkpoint();
-                    }
+    let ending = match task.work {
+        CellWork::Finish(ending) => ending,
+        CellWork::Run(index) => {
+            let outcome = {
+                let _cell_span = twl_telemetry::span!("job.cell", job_label.clone());
+                panic::catch_unwind(AssertUnwindSafe(|| job.spec.run_cell(index)))
+                    .map_err(|payload| panic_message(payload.as_ref()))
+            };
+            let recorded = queue.complete_cell(job.job_id, index, outcome, dir.map(|_| interval));
+            if let (Some(dir), Some(cells)) = (dir, recorded.checkpoint) {
+                let done = cells.len() as u64;
+                let running = JobStatus::Running;
+                if checkpoint_job(dir, job, &job_label, done, running, &cells, None, None) {
+                    queue.record_checkpoint(job.job_id, done);
+                    maybe_exit_after_checkpoint();
                 }
             }
-            Err(payload) => {
-                failure = Some(panic_message(payload.as_ref()));
-                break;
-            }
+            let Some(ending) = recorded.ending else {
+                return;
+            };
+            ending
         }
-    }
-
-    let (status, result, error) = if cancelled {
-        (JobStatus::Cancelled, None, Some("job cancelled".to_owned()))
-    } else if let Some(message) = failure {
-        (JobStatus::Failed, None, Some(message))
-    } else {
-        let reports = (0..total)
-            .map(|i| completed.get(&(i as u64)).expect("all cells ran").clone())
-            .collect();
-        (
-            JobStatus::Completed,
-            Some(encode_result(job.spec.kind, reports)),
-            None,
-        )
     };
+    finish_job(queue, dir, job, &job_label, ending);
+}
+
+/// Brings a job whose cells are all done (or abandoned) to its terminal
+/// state: assembles the result in matrix order, writes the terminal
+/// checkpoint, and publishes the job.
+fn finish_job(
+    queue: &JobQueue,
+    dir: Option<&CheckpointDir>,
+    job: &RunningJob,
+    job_label: &str,
+    ending: JobEnding,
+) {
+    let JobEnding {
+        status,
+        completed_cells,
+        error,
+    } = ending;
+    let result = (status == JobStatus::Completed).then(|| {
+        let reports = completed_cells.values().cloned().collect();
+        encode_result(job.spec.kind, reports)
+    });
     if let Some(dir) = dir {
-        let _cp_span = twl_telemetry::span!("job.checkpoint", job_label.clone());
-        save_checkpoint(
-            dir,
-            job.job_id,
-            &job.spec,
-            status,
-            &completed,
-            result.clone(),
-            error.clone(),
-        );
+        let (cells, terminal) = (&completed_cells, u64::MAX);
+        let (r, e) = (result.clone(), error.clone());
+        checkpoint_job(dir, job, job_label, terminal, status, cells, r, e);
     }
-    let wall_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
+    let wall_ms = u64::try_from(job.started.elapsed().as_millis()).unwrap_or(u64::MAX);
     histogram!("twl.service.job.wall_ms").record(wall_ms);
-    // Close the job span and flush before publishing the result, so a
-    // client that saw the terminal event immediately finds a complete
-    // wall-time histogram and a complete, durable job trace.
-    drop(job_span);
+    // Flush before publishing the result, so a client that saw the
+    // terminal event immediately finds a complete wall-time histogram
+    // and a complete, durable job trace.
     twl_telemetry::flush_sinks();
     queue.finish(job.job_id, status, result, error);
 }

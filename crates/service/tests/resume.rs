@@ -21,7 +21,18 @@ use twl_telemetry::json::Json;
 
 #[test]
 fn killed_daemon_resumes_bit_identical() {
-    let dir = common::temp_dir("resume");
+    kill_and_resume("1");
+}
+
+/// Two workers run the job's cells at once, so checkpoints race; each
+/// still holds whole cells, and the resume is still bit-identical.
+#[test]
+fn killed_daemon_resumes_bit_identical_on_two_workers() {
+    kill_and_resume("2");
+}
+
+fn kill_and_resume(workers: &str) {
+    let dir = common::temp_dir(&format!("resume-{workers}"));
     let dir_str = dir.to_string_lossy().into_owned();
     let spec = JobSpec {
         kind: JobKind::AttackMatrix,
@@ -37,7 +48,7 @@ fn killed_daemon_resumes_bit_identical() {
     // the hook kills the process right after the second one.
     let flags = [
         "--workers",
-        "1",
+        workers,
         "--checkpoint-dir",
         dir_str.as_str(),
         "--checkpoint-interval-writes",

@@ -8,7 +8,8 @@
 //!    handles, so hot paths (the wear-leveling engine, the memory
 //!    controller) record without threading `&mut` state through their
 //!    APIs. The [`counter!`], [`gauge!`] and [`histogram!`] macros cache
-//!    the lookup per call site; steady state is one relaxed atomic op.
+//!    the lookup per call site; steady state is one relaxed atomic op
+//!    on the calling thread's shard of the metric.
 //! 2. **Wear-map sampling** ([`WearMapSampler`], [`WearSummary`]) —
 //!    per-page write-count histograms plus Gini / CoV wear-inequality
 //!    summaries captured every N writes into a bounded ring buffer.

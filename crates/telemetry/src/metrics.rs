@@ -5,16 +5,62 @@
 //! `&mut` plumbing is needed through scheme or controller APIs and no
 //! allocation happens after a handle is created. Use the [`counter!`],
 //! [`gauge!`] and [`histogram!`](crate::histogram!) macros at call sites:
-//! they cache the registry lookup in a `OnceLock`, so the steady-state
-//! cost of a record is one relaxed atomic op.
+//! they cache the registry lookup in a `OnceLock`.
+//!
+//! Counters and histograms are sharded per thread: each holds
+//! [`SHARDS`] copies of its atomics, each copy on its own cache line, and
+//! a thread records into the shard it was dealt (round-robin, once per
+//! thread, from a thread-local). So the steady-state cost of a record is
+//! a thread-local read plus one relaxed atomic op on a line no other
+//! thread writes while at most [`SHARDS`] threads record, so two cores
+//! driving TWL cells no longer share the line behind `twl.core.writes`,
+//! which TWL's scalar `write` bumps every write. Reads (`get`,
+//! [`Registry::snapshot`]) and resets visit every shard. Gauges are
+//! last-value cells and stay unsharded.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
+
+/// Shards per counter and histogram: threads past this many share
+/// shards (still correct, just contended again).
+pub const SHARDS: usize = 8;
+
+/// One shard's storage, alone on its cache line (128 bytes, so the
+/// adjacent-line prefetcher cannot pair two shards either).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Padded<T>(T);
+
+thread_local! {
+    static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// The calling thread's shard index, dealt round-robin on first use.
+#[inline]
+fn shard() -> usize {
+    SHARD.with(|s| {
+        let i = s.get();
+        if i < SHARDS {
+            i
+        } else {
+            deal_shard(s)
+        }
+    })
+}
+
+#[cold]
+fn deal_shard(slot: &Cell<usize>) -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let i = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
+    slot.set(i);
+    i
+}
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter {
-    value: AtomicU64,
+    shards: [Padded<AtomicU64>; SHARDS],
 }
 
 impl Counter {
@@ -22,7 +68,7 @@ impl Counter {
     #[must_use]
     pub const fn new() -> Self {
         Self {
-            value: AtomicU64::new(0),
+            shards: [const { Padded(AtomicU64::new(0)) }; SHARDS],
         }
     }
 
@@ -35,18 +81,22 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.shards[shard()].0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value.
+    /// Current value: the sum over every shard.
     #[inline]
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.shards
+            .iter()
+            .fold(0u64, |sum, s| sum.wrapping_add(s.0.load(Ordering::Relaxed)))
     }
 
     fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
+        for s in &self.shards {
+            s.0.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -95,10 +145,27 @@ impl Gauge {
 /// last bucket absorbing overflow.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; Self::BUCKETS],
+    shards: [Padded<HistogramShard>; SHARDS],
+}
+
+/// One thread's share of a [`Histogram`].
+#[derive(Debug)]
+struct HistogramShard {
+    buckets: [AtomicU64; Histogram::BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
+}
+
+impl HistogramShard {
+    const fn new() -> Self {
+        Self {
+            buckets: [const { AtomicU64::new(0) }; Histogram::BUCKETS],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+        }
+    }
 }
 
 impl Histogram {
@@ -108,28 +175,27 @@ impl Histogram {
     /// Creates an empty histogram.
     #[must_use]
     pub const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
         Self {
-            buckets: [ZERO; Self::BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+            shards: [const { Padded(HistogramShard::new()) }; SHARDS],
+        }
+    }
+
+    fn bucket_of(v: u64) -> usize {
+        if v == 0 {
+            0
+        } else {
+            (63 - v.leading_zeros() as usize).min(Self::BUCKETS - 1)
         }
     }
 
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        let idx = if v == 0 {
-            0
-        } else {
-            (63 - v.leading_zeros() as usize).min(Self::BUCKETS - 1)
-        };
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        let s = &self.shards[shard()].0;
+        s.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        s.count.fetch_add(1, Ordering::Relaxed);
+        s.sum.fetch_add(v, Ordering::Relaxed);
+        s.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Records `n` identical samples in O(1).
@@ -144,33 +210,40 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let idx = if v == 0 {
-            0
-        } else {
-            (63 - v.leading_zeros() as usize).min(Self::BUCKETS - 1)
-        };
-        self.buckets[idx].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        let s = &self.shards[shard()].0;
+        s.buckets[Self::bucket_of(v)].fetch_add(n, Ordering::Relaxed);
+        s.count.fetch_add(n, Ordering::Relaxed);
+        s.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
+        s.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Sums one field over every shard.
+    fn total(&self, field: impl Fn(&HistogramShard) -> &AtomicU64) -> u64 {
+        self.shards.iter().fold(0u64, |sum, s| {
+            sum.wrapping_add(field(&s.0).load(Ordering::Relaxed))
+        })
     }
 
     /// Samples recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.total(|s| &s.count)
     }
 
     /// Sum of all samples.
     #[must_use]
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.total(|s| &s.sum)
     }
 
     /// Largest sample seen.
     #[must_use]
     pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
+        self.shards
+            .iter()
+            .map(|s| s.0.max.load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Mean sample value (0.0 when empty).
@@ -187,9 +260,8 @@ impl Histogram {
     /// Per-bucket counts.
     #[must_use]
     pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
+        (0..Self::BUCKETS)
+            .map(|i| self.total(|s| &s.buckets[i]))
             .collect()
     }
 
@@ -216,12 +288,15 @@ impl Histogram {
     }
 
     fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
+        for s in &self.shards {
+            let s = &s.0;
+            for b in &s.buckets {
+                b.store(0, Ordering::Relaxed);
+            }
+            s.count.store(0, Ordering::Relaxed);
+            s.sum.store(0, Ordering::Relaxed);
+            s.max.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 }
 
@@ -493,20 +568,72 @@ mod tests {
     fn snapshot_count_matches_buckets_while_recording() {
         let registry = Registry::default();
         let h = registry.histogram("busy");
-        let done = std::sync::atomic::AtomicBool::new(false);
+        let recording = AtomicUsize::new(4);
         std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for v in 0..200_000u64 {
-                    h.record(v);
-                }
-                done.store(true, Ordering::SeqCst);
-            });
-            while !done.load(Ordering::SeqCst) {
+            for t in 0..4u64 {
+                let recording = &recording;
+                scope.spawn(move || {
+                    for v in 0..50_000u64 {
+                        h.record(v * 4 + t);
+                    }
+                    recording.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            while recording.load(Ordering::SeqCst) > 0 {
                 let snap = registry.snapshot();
                 let h = &snap.histograms[0];
                 assert_eq!(h.count, h.buckets.iter().sum::<u64>());
             }
         });
+        let snap = registry.snapshot();
+        let h = &snap.histograms[0];
+        assert_eq!((h.count, h.max), (200_000, 199_999));
+        assert_eq!(h.sum, (0..200_000u64).sum::<u64>());
+    }
+
+    #[test]
+    fn sharded_adds_from_many_threads_sum_exactly() {
+        let registry = Registry::default();
+        let c = registry.counter("sharded.adds");
+        let h = registry.histogram("sharded.samples");
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..100_000 {
+                        c.add(1);
+                        h.record(3);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 800_000);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters, vec![("sharded.adds".to_owned(), 800_000)]);
+        let h = &snap.histograms[0];
+        assert_eq!(
+            (h.count, h.sum, h.max, h.buckets[1]),
+            (800_000, 2_400_000, 3, 800_000)
+        );
+    }
+
+    #[test]
+    fn threads_are_dealt_distinct_shards() {
+        let c = Counter::new();
+        std::thread::scope(|scope| {
+            for _ in 0..SHARDS {
+                scope.spawn(|| c.inc());
+            }
+        });
+        assert_eq!(c.get(), SHARDS as u64);
+        // Round-robin dealing: SHARDS fresh threads cover every shard
+        // unless other tests' threads took turns in between, so only
+        // require that the adds did not all land on one line.
+        let used = c
+            .shards
+            .iter()
+            .filter(|s| s.0.load(Ordering::Relaxed) > 0)
+            .count();
+        assert!(used > 1, "all {SHARDS} threads recorded into one shard");
     }
 
     #[test]
@@ -562,9 +689,22 @@ mod tests {
     fn reset_zeroes_but_keeps_handles() {
         let registry = Registry::default();
         let c = registry.counter("reset.c");
-        c.add(9);
+        let h = registry.histogram("reset.h");
+        // Record from more threads than there are shards, so several
+        // shards hold something before the reset.
+        std::thread::scope(|scope| {
+            for _ in 0..2 * SHARDS {
+                scope.spawn(|| {
+                    c.add(9);
+                    h.record(5);
+                });
+            }
+        });
         registry.reset();
         assert_eq!(c.get(), 0);
+        assert!(c.shards.iter().all(|s| s.0.load(Ordering::Relaxed) == 0));
+        assert_eq!((h.count(), h.sum(), h.max()), (0, 0, 0));
+        assert!(h.bucket_counts().iter().all(|&b| b == 0));
         c.inc();
         assert_eq!(
             registry.snapshot().counters,
