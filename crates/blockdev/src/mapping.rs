@@ -8,6 +8,16 @@
 //! rewrites the whole page (the write-amplification the paper's
 //! schemes are built around). Reads and trims wear nothing.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::ops::Range;
 
 /// The export geometry: page-granular wear over a byte-addressed store.

@@ -22,6 +22,16 @@
 //! check runs *before* the payload buffer is allocated, via the same
 //! [`twl_service::net::guard_frame_len`] guard the JSON daemons use.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -168,14 +178,12 @@ pub struct Request {
 /// [`NbdError::Io`] on transport failures.
 pub fn read_request(r: &mut impl Read) -> Result<Request, NbdError> {
     let mut magic = [0u8; 4];
-    match r.read(&mut magic) {
-        Ok(0) => return Err(NbdError::Closed),
-        Ok(n) if n < 4 => r
-            .read_exact(&mut magic[n..])
-            .map_err(|_| NbdError::Protocol("truncated request header".into()))?,
-        Ok(_) => {}
-        Err(e) => return Err(e.into()),
+    let n = r.read(&mut magic)?;
+    if n == 0 {
+        return Err(NbdError::Closed);
     }
+    r.read_exact(magic.get_mut(n..).unwrap_or_default())
+        .map_err(|_| NbdError::Protocol("truncated request header".into()))?;
     if u32::from_be_bytes(magic) != REQUEST_MAGIC {
         return Err(NbdError::Protocol(format!(
             "bad request magic {:#010x}",
@@ -276,20 +284,20 @@ pub fn server_handshake(
                 return Ok(true);
             }
             OPT_ABORT => {
-                write_option_reply(stream, option, REP_ACK, &[])?;
+                write_option_reply(stream, option, REP_ACK)?;
                 return Ok(false);
             }
-            _ => write_option_reply(stream, option, REP_ERR_UNSUP, &[])?,
+            _ => write_option_reply(stream, option, REP_ERR_UNSUP)?,
         }
     }
 }
 
-fn write_option_reply(w: &mut impl Write, option: u32, reply: u32, data: &[u8]) -> io::Result<()> {
+/// Writes an option reply with an empty payload, the only kind sent.
+fn write_option_reply(w: &mut impl Write, option: u32, reply: u32) -> io::Result<()> {
     w.write_all(&OPT_REPLY_MAGIC.to_be_bytes())?;
     w.write_all(&option.to_be_bytes())?;
     w.write_all(&reply.to_be_bytes())?;
-    w.write_all(&u32::try_from(data.len()).expect("tiny reply").to_be_bytes())?;
-    w.write_all(data)?;
+    w.write_all(&0u32.to_be_bytes())?;
     w.flush()
 }
 

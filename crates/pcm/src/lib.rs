@@ -34,7 +34,6 @@
 
 mod addr;
 mod config;
-mod dcw;
 mod device;
 mod endurance;
 mod error;
@@ -44,7 +43,6 @@ mod timing;
 
 pub use addr::{LogicalPageAddr, PhysicalPageAddr};
 pub use config::{PcmConfig, PcmConfigBuilder};
-pub use dcw::{DcwModel, BENIGN_BIT_FLIP_FRACTION};
 pub use device::{BulkWrite, DeviceSnapshot, PcmDevice, WearPolicy};
 pub use endurance::EnduranceMap;
 pub use error::PcmError;

@@ -8,6 +8,16 @@
 //! absurd length ([`FrameError::Oversized`]) *before* allocating or
 //! reading the payload.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -68,22 +78,21 @@ impl std::error::Error for FrameError {}
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the underlying writer.
-///
-/// # Panics
-///
-/// Panics if the encoded frame exceeds [`MAX_FRAME_BYTES`] — outgoing
-/// frames are produced by this crate, so an oversized one is a bug, not
-/// a peer behaving badly.
+/// Propagates I/O errors from the underlying writer. A frame whose
+/// payload exceeds [`MAX_FRAME_BYTES`] is an [`io::ErrorKind::InvalidData`]
+/// error wrapping [`FrameError::Oversized`], and nothing is written.
 pub fn write_frame(w: &mut impl Write, frame: &Json) -> io::Result<()> {
     let payload = frame.to_compact();
     let bytes = payload.as_bytes();
-    assert!(
-        bytes.len() <= MAX_FRAME_BYTES,
-        "outgoing frame of {} bytes exceeds MAX_FRAME_BYTES",
-        bytes.len()
-    );
-    let len = u32::try_from(bytes.len()).expect("MAX_FRAME_BYTES fits in u32");
+    let len = u32::try_from(bytes.len())
+        .ok()
+        .filter(|_| bytes.len() <= MAX_FRAME_BYTES)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                FrameError::Oversized { len: bytes.len() },
+            )
+        })?;
     let mut wire = Vec::with_capacity(4 + bytes.len());
     wire.extend_from_slice(&len.to_be_bytes());
     wire.extend_from_slice(bytes);
@@ -94,8 +103,8 @@ pub fn write_frame(w: &mut impl Write, frame: &Json) -> io::Result<()> {
 /// Reads until `buf` is full or EOF; returns the number of bytes read.
 fn fill(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
     let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
+    while let Some(rest) = buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
             Ok(0) => break,
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -262,6 +271,20 @@ mod tests {
             read_frame(&mut buf.as_slice()),
             Err(FrameError::Oversized { .. })
         ));
+    }
+
+    #[test]
+    fn oversized_outgoing_frame_is_an_error_and_writes_nothing() {
+        let frame = str(&"x".repeat(MAX_FRAME_BYTES));
+        let mut w = CountingWriter::default();
+        let err = write_frame(&mut w, &frame).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let len = MAX_FRAME_BYTES + 2;
+        assert_eq!(
+            err.to_string(),
+            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit")
+        );
+        assert_eq!((w.writes, w.bytes.len()), (0, 0));
     }
 
     #[test]

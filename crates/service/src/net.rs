@@ -41,6 +41,7 @@ use std::thread;
 use std::time::Duration;
 
 use twl_telemetry::counter;
+use twl_telemetry::json::Json;
 
 use crate::framing::{read_frame, write_frame, FrameError};
 use crate::queue::JobQueue;
@@ -109,8 +110,21 @@ pub fn serve<H: WireHandler>(
     Ok(())
 }
 
+/// Writes one response. One too large for a frame goes out as an
+/// `error` frame naming its size instead, so the peer learns why and
+/// the connection keeps serving.
 fn send(mut stream: &TcpStream, response: &Response) -> io::Result<()> {
-    write_frame(&mut stream, &response.to_json())
+    let frame = response.to_json();
+    match write_frame(&mut stream, &frame) {
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            let kind = frame.get("type").and_then(Json::as_str).unwrap_or("reply");
+            write_frame(
+                &mut stream,
+                &error(format!("{kind} not sent: {e}")).to_json(),
+            )
+        }
+        sent => sent,
+    }
 }
 
 fn error(message: String) -> Response {

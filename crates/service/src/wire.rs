@@ -7,6 +7,16 @@
 //! `{"type":"hello","proto":"twl-wire/v1"}` and the daemon refuses
 //! mismatched versions before any other traffic.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use twl_telemetry::json::{int, num, str, Json};
 
 use crate::job::{req_str, req_u64, JobSpec};

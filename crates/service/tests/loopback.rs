@@ -10,10 +10,13 @@ mod common;
 use std::time::Duration;
 
 use twl_attacks::AttackKind;
+use twl_faults::FaultConfig;
 use twl_lifetime::{run_lifetime_cell, SchemeKind, SimLimits};
 use twl_pcm::PcmConfig;
 use twl_service::job::JobKind;
-use twl_service::{decode_result, Client, JobReports, JobSpec, SubmitOutcome};
+use twl_service::{
+    decode_result, Client, ClientError, JobReports, JobSpec, SubmitOutcome, MAX_FRAME_BYTES,
+};
 use twl_telemetry::json::Json;
 
 fn small_spec() -> JobSpec {
@@ -162,4 +165,41 @@ fn sequential_round_trips_do_not_stall_on_nagle() {
         elapsed < Duration::from_secs(1),
         "50 status round trips took {elapsed:?}"
     );
+}
+
+/// A job whose result document outgrows the 4 MiB frame limit gets an
+/// `error` reply naming the size, and the daemon keeps serving.
+#[test]
+fn oversized_result_is_an_error_reply_and_the_daemon_keeps_serving() {
+    let daemon = common::Daemon::spawn(&["--workers", "2"], &[]);
+    // Each retirement adds a point to a degradation curve: 160 spares
+    // per data page make every report about 1.2 MB.
+    let spec = JobSpec {
+        kind: JobKind::DegradationMatrix,
+        pcm: PcmConfig::scaled(64, 50, 3),
+        schemes: vec![SchemeKind::Nowl.into()],
+        attacks: AttackKind::ALL.iter().map(|&a| a.into()).collect(),
+        fault: Some(FaultConfig {
+            spare_fraction: 160.0,
+            ..FaultConfig::default()
+        }),
+        ..small_spec()
+    };
+    let mut client = Client::connect(&daemon.addr).expect("connect");
+    let job_id = match client.submit(&spec).expect("submit") {
+        SubmitOutcome::Accepted(id) => id,
+        SubmitOutcome::Rejected { reason, .. } => panic!("submit rejected: {reason}"),
+    };
+    match client.wait(job_id, |_| {}) {
+        Err(ClientError::Remote(message)) => assert!(
+            message.starts_with("result not sent: frame of ")
+                && message.ends_with(&format!("exceeds the {MAX_FRAME_BYTES}-byte limit")),
+            "unexpected error: {message}"
+        ),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    // The same connection still answers, and so does a fresh one.
+    let jobs = client.status(Some(job_id)).expect("status");
+    assert_eq!(jobs[0].status, "completed");
+    Client::connect(&daemon.addr).expect("ping after the oversized result");
 }

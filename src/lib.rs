@@ -13,7 +13,6 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`rng`] | `twl-rng` | Feistel hardware RNG, simulation PRNGs |
-//! | [`cache`] | `twl-cache` | Table 1's L1/L2 cache hierarchy |
 //! | [`pcm`] | `twl-pcm` | PCM device model with process-variation endurance |
 //! | [`wl`] | `twl-wl-core` | `WearLeveler` trait, tables, NOWL baseline |
 //! | [`twl`] | `twl-core` | Toss-up Wear Leveling (the paper's contribution) |
@@ -44,7 +43,6 @@
 
 pub use twl_attacks as attacks;
 pub use twl_baselines as baselines;
-pub use twl_cache as cache;
 pub use twl_core as twl;
 pub use twl_faults as faults;
 pub use twl_lifetime as lifetime;

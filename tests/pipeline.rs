@@ -1,66 +1,13 @@
-//! End-to-end pipeline tests spanning every substrate: CPU accesses
-//! through the cache hierarchy into a wear-leveled device, checkpointed
-//! simulations, and the attack monitor running beside a live attack.
+//! End-to-end pipeline tests across the substrates: checkpointed
+//! simulations, the attack monitor running beside a live attack, and
+//! the banked memory-controller model ranking schemes like Fig. 9.
 
 #![forbid(unsafe_code)]
 
 use tossup_wl::attacks::{Attack, AttackKind, AttackStream};
-use tossup_wl::cache::{CacheHierarchy, CpuWorkload, CpuWorkloadConfig};
 use tossup_wl::lifetime::{build_scheme_spec, SchemeKind};
 use tossup_wl::pcm::{LogicalPageAddr, PcmConfig, PcmDevice};
-use tossup_wl::twl::{TossUpWearLeveling, TwlConfig};
-use tossup_wl::wl::{AttackMonitor, WearLeveler};
-
-#[test]
-fn cpu_to_cache_to_twl_pipeline_runs_clean() {
-    let pages = 512u64;
-    let pcm = PcmConfig::builder()
-        .pages(pages)
-        .mean_endurance(1_000_000)
-        .seed(2)
-        .build()
-        .expect("valid config");
-    let mut device = PcmDevice::new(&pcm);
-    let mut twl = TossUpWearLeveling::new(&TwlConfig::dac17(), device.endurance_map());
-    let mut hierarchy = CacheHierarchy::dac17(pcm.page_size_bytes);
-    // Footprint 4x the L2 capacity, so dirty lines actually evict and
-    // produce PCM write-backs (addresses wrap onto the smaller device).
-    let mut cpu = CpuWorkload::new(&CpuWorkloadConfig {
-        footprint_bytes: 8 * 1024 * 1024,
-        region_alpha: 1.0,
-        mean_burst: 16,
-        write_fraction: 0.4,
-        seed: 5,
-    });
-
-    let mut pcm_writes = 0u64;
-    for _ in 0..300_000 {
-        let (addr, is_write) = cpu.next_access();
-        for cmd in hierarchy.access(addr, is_write) {
-            let la = LogicalPageAddr::new(cmd.la.index() % pages);
-            if cmd.is_write() {
-                twl.write(la, &mut device).expect("healthy device");
-                pcm_writes += 1;
-            } else {
-                twl.read(la, &device).expect("valid read");
-            }
-        }
-    }
-    let stats = hierarchy.stats();
-    assert!(
-        stats.l1.hit_rate() > 0.5,
-        "L1 must filter: {}",
-        stats.l1.hit_rate()
-    );
-    assert!(pcm_writes > 0, "some write-backs must reach PCM");
-    assert!(
-        stats.memory_traffic_ratio() < 0.5,
-        "the caches must absorb most traffic: {}",
-        stats.memory_traffic_ratio()
-    );
-    assert!(twl.remapping_table().is_bijective());
-    assert_eq!(twl.stats().device_writes, device.total_writes());
-}
+use tossup_wl::wl::AttackMonitor;
 
 #[test]
 fn checkpointed_run_matches_uninterrupted_run() {
