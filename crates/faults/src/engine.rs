@@ -133,9 +133,11 @@ impl FaultEngine {
     /// Drains the device's write log and advances fault state for every
     /// touched page: newly-failed groups are corrected while the page's
     /// total stays within the policy budget; a page crossing the budget
-    /// is retired to a spare. Also refreshes the
-    /// `twl.faults.spares_remaining` gauge and the corrected / retired /
-    /// uncorrectable counters.
+    /// is retired to a spare. A logged page costs one compare of its
+    /// wear against its next unfailed group threshold; the page's full
+    /// fault count is looked up only when that group has failed. Also
+    /// refreshes the `twl.faults.spares_remaining` gauge and the
+    /// corrected / retired / uncorrectable counters.
     ///
     /// # Errors
     ///
@@ -156,13 +158,19 @@ impl FaultEngine {
             if self.dead[p] {
                 continue;
             }
-            let now = self
-                .model
-                .faults_at(page, u64::from(device.wear_table()[p]));
+            let wear = u64::from(device.wear_table()[p]);
             let known = self.faults[p];
-            if now <= known {
+            // The row is sorted, so a group past the `known` ones has
+            // failed exactly when the next threshold is within reach.
+            if self
+                .model
+                .row(page)
+                .get(known as usize)
+                .is_none_or(|&next| next > wear)
+            {
                 continue;
             }
+            let now = self.model.faults_at(page, wear);
             if now <= self.budget {
                 let newly = u64::from(now - known);
                 self.faults[p] = now;

@@ -29,6 +29,16 @@
 //!   and never across re-captures (pinned by
 //!   `tests/fixtures/pr10_cellkeys.json`).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use twl_service::job::JobKind;
 use twl_service::JobSpec;
 use twl_telemetry::json::{str, Json};
@@ -57,7 +67,7 @@ impl CellKey {
     /// Panics if `index >= spec.cell_count()` (same contract as
     /// [`JobSpec::run_cell`]).
     pub fn try_of(spec: &JobSpec, index: usize) -> Result<Self, String> {
-        let descriptor = Self::try_descriptor(spec, index)?;
+        let descriptor = Self::descriptor(spec, index)?;
         Ok(Self(sha256_hex(descriptor.to_compact().as_bytes())))
     }
 
@@ -68,40 +78,36 @@ impl CellKey {
     /// Panics where [`CellKey::try_of`] fails or panics.
     #[must_use]
     pub fn of(spec: &JobSpec, index: usize) -> Self {
-        Self::try_of(spec, index).unwrap_or_else(|e| panic!("{e}"))
+        let key = Self::try_of(spec, index);
+        assert!(key.is_ok(), "cell {index} cannot be keyed: {key:?}");
+        key.unwrap_or_else(|_| unreachable!("asserted above"))
     }
 
     /// The canonical descriptor document the key hashes — exposed so
     /// the golden fixtures can pin its exact bytes.
     ///
+    /// # Errors
+    ///
+    /// Fails if the cell replays a trace whose file cannot be read.
+    ///
     /// # Panics
     ///
-    /// Panics if `index >= spec.cell_count()` or if a trace workload's
-    /// file cannot be read.
-    #[must_use]
-    pub fn descriptor(spec: &JobSpec, index: usize) -> Json {
-        Self::try_descriptor(spec, index).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_descriptor(spec: &JobSpec, index: usize) -> Result<Json, String> {
-        assert!(index < spec.cell_count(), "cell index out of range");
-
+    /// Panics if `index >= spec.cell_count()`.
+    pub fn descriptor(spec: &JobSpec, index: usize) -> Result<Json, String> {
         // The cell kind follows the *workload family*, not the matrix
         // shape: attack matrices and lifetime runs execute the
         // identical attack cell, so they share a cell kind (and cache
         // entries); synthetic-generator, trace-replay, and degradation
         // cells produce different report shapes or sampling and stay
         // distinct.
-        let axis = spec.workload_axis();
-        let workload_spec = &axis[index % axis.len()];
-        let workload = spec.describe_cell(index).1;
+        let (scheme, workload_spec) = spec.cell(index);
+        let workload = workload_spec.label();
         let cell_kind = match (spec.kind, &workload_spec.kind) {
             (JobKind::DegradationMatrix, _) => "degradation",
             (_, WorkloadKind::Trace) => "trace",
             (_, WorkloadKind::Parsec(_)) => "workload",
             _ => "attack",
         };
-        let scheme = spec.schemes[index / axis.len()];
 
         // Borrow the spec's own wire encoding for the device, limits,
         // and fault sub-documents so the descriptor can never drift

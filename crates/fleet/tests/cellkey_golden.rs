@@ -95,7 +95,9 @@ fn assert_golden(golden_text: &str, cells: Vec<(&'static str, JobSpec, usize)>) 
             Some(name),
             "fixture order drifted"
         );
-        let descriptor = CellKey::descriptor(&spec, index).to_compact();
+        let descriptor = CellKey::descriptor(&spec, index)
+            .expect("cell is hashable")
+            .to_compact();
         assert_eq!(
             entry.get("descriptor").and_then(Json::as_str),
             Some(descriptor.as_str()),
@@ -131,7 +133,7 @@ fn golden_pr10_cellkeys_are_byte_identical() {
 #[test]
 fn trace_cellkeys_pin_content_not_path() {
     let (_, spec, index) = fixture_cells_pr10().remove(1);
-    let descriptor = CellKey::descriptor(&spec, index);
+    let descriptor = CellKey::descriptor(&spec, index).expect("cell is hashable");
     let bytes = std::fs::read(FIXTURE_TRACE).expect("fixture trace");
     assert_eq!(
         descriptor.get("workload_hash").and_then(Json::as_str),
@@ -167,7 +169,11 @@ fn golden_fixture_pins_attack_lifetime_sharing() {
     let (_, attack_spec, attack_index) = &cells[0];
     let (_, lifetime_spec, lifetime_index) = &cells[1];
     assert_eq!(
-        CellKey::descriptor(attack_spec, *attack_index).to_compact(),
-        CellKey::descriptor(lifetime_spec, *lifetime_index).to_compact(),
+        CellKey::descriptor(attack_spec, *attack_index)
+            .expect("cell is hashable")
+            .to_compact(),
+        CellKey::descriptor(lifetime_spec, *lifetime_index)
+            .expect("cell is hashable")
+            .to_compact(),
     );
 }

@@ -104,6 +104,30 @@ fn repeat_attack_to_spare_exhaustion_is_bit_identical() {
     }
 }
 
+/// The per-write attacks run every scheme to spare exhaustion too: each
+/// write touches a different page, so the horizon's margin is set by
+/// many pages at once and every absorb refreshes a different leaf.
+#[test]
+fn per_write_attacks_to_spare_exhaustion_are_bit_identical() {
+    let limits = SimLimits::default();
+    for kind in SCHEMES {
+        for attack_kind in [
+            AttackKind::Random,
+            AttackKind::Scan,
+            AttackKind::Inconsistent,
+        ] {
+            for seed in [1, 4] {
+                let (batched, wear_b) = attack_run(kind, attack_kind, seed, &limits, true);
+                let (reference, wear_u) = attack_run(kind, attack_kind, seed, &limits, false);
+                let case = format!("{kind:?}/{attack_kind:?} seed {seed}");
+                assert_eq!(batched, reference, "{case} report diverged");
+                assert_eq!(wear_b, wear_u, "{case} wear map diverged");
+                assert_eq!(batched.end, DegradationEnd::SpareExhausted, "{case}");
+            }
+        }
+    }
+}
+
 /// Random and inconsistent attacks produce short runs and exercise the
 /// feedback path; the horizon still paces every absorb exactly.
 #[test]

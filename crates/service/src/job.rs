@@ -13,6 +13,16 @@
 //! bits, so reports compare equal (`==`) across a network or
 //! checkpoint round trip.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::collections::BTreeMap;
 
 use twl_faults::{CorrectionPolicy, FaultConfig};
@@ -160,11 +170,27 @@ impl JobSpec {
     /// Panics if `index >= cell_count()`.
     #[must_use]
     pub fn describe_cell(&self, index: usize) -> (String, String) {
+        let (scheme, workload) = self.cell(index);
+        (scheme.label(), workload.label())
+    }
+
+    /// The scheme and workload specs of cell `index`: cells run
+    /// scheme-major over [`JobSpec::workload_axis`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= cell_count()`.
+    #[must_use]
+    pub fn cell(&self, index: usize) -> (SchemeSpec, &WorkloadSpec) {
         assert!(index < self.cell_count(), "cell index out of range");
         let axis = self.workload_axis();
-        let scheme = self.schemes[index / axis.len()];
-        let workload = &axis[index % axis.len()];
-        (scheme.label(), workload.label())
+        match (
+            self.schemes.get(index / axis.len()),
+            axis.get(index % axis.len()),
+        ) {
+            (Some(&scheme), Some(workload)) => (scheme, workload),
+            _ => unreachable!("an index below schemes × axis names a cell"),
+        }
     }
 
     /// Runs cell `index` and returns its encoded report plus the device
@@ -180,10 +206,7 @@ impl JobSpec {
     /// latter and fails the job instead of the daemon).
     #[must_use]
     pub fn run_cell(&self, index: usize) -> (Json, u64) {
-        assert!(index < self.cell_count(), "cell index out of range");
-        let axis = self.workload_axis();
-        let scheme = self.schemes[index / axis.len()];
-        let workload = &axis[index % axis.len()];
+        let (scheme, workload) = self.cell(index);
         if self.kind == JobKind::DegradationMatrix {
             let report = run_degradation_cell(
                 &self.pcm,

@@ -6,6 +6,16 @@
 //! arrays, strings, integers, floats, booleans, and null, with correct
 //! string escaping in both directions.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -191,7 +201,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+    while matches!(bytes.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
         *pos += 1;
     }
 }
@@ -212,7 +222,10 @@ fn parse_value(src: &str, pos: &mut usize) -> Result<Json, String> {
 }
 
 fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
+    if bytes
+        .get(*pos..)
+        .is_some_and(|rest| rest.starts_with(lit.as_bytes()))
+    {
         *pos += lit.len();
         Ok(value)
     } else {
@@ -233,7 +246,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             _ => break,
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+    let digits = bytes.get(start..*pos).unwrap_or_default();
+    let text = std::str::from_utf8(digits).map_err(|e| e.to_string())?;
     if is_float {
         text.parse::<f64>()
             .map(Json::Float)
@@ -251,21 +265,24 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 /// is a whole slice of `src`. Parsing stays linear in the input.
 fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
     let bytes = src.as_bytes();
-    debug_assert_eq!(bytes[*pos], b'"');
+    debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
     *pos += 1;
     let mut out = String::new();
     loop {
-        let run = bytes[*pos..]
+        let rest = bytes.get(*pos..).unwrap_or_default();
+        let run = rest
             .iter()
             .position(|&b| b == b'"' || b == b'\\')
             .ok_or("unterminated string")?;
-        out.push_str(&src[*pos..*pos + run]);
-        *pos += run;
-        if bytes[*pos] == b'"' {
-            *pos += 1;
+        let plain = src
+            .get(*pos..*pos + run)
+            .ok_or("string run splits a character")?;
+        out.push_str(plain);
+        let closed = rest.get(run) == Some(&b'"');
+        *pos += run + 1;
+        if closed {
             return Ok(out);
         }
-        *pos += 1;
         match bytes.get(*pos) {
             Some(b'"') => out.push('"'),
             Some(b'\\') => out.push('\\'),
