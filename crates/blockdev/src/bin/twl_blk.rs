@@ -20,6 +20,7 @@
 #![forbid(unsafe_code)]
 
 use std::fs::File;
+use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -119,7 +120,7 @@ fn run_replay(args: &[String]) -> Result<(), String> {
     }
     let trace = trace.ok_or_else(|| format!("replay needs --trace\n{USAGE}"))?;
     let file = File::open(&trace).map_err(|e| format!("cannot open {}: {e}", trace.display()))?;
-    let cmds = read_trace(file).map_err(|e| format!("bad trace: {e}"))?;
+    let cmds = read_trace(BufReader::new(file)).map_err(|e| format!("bad trace: {e}"))?;
     let gateway = WearGateway::replay(config, &cmds).map_err(|e| format!("replay failed: {e}"))?;
     let probe = gateway.probe();
     // The exact lines a live daemon's metrics page carries for these

@@ -19,7 +19,7 @@
 //! serialize.
 
 use std::fs;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -353,8 +353,8 @@ fn restore_or_new(config: &BlockdevConfig) -> io::Result<DeviceState> {
         ));
     }
     let store = BlockStore::load(&dir.join("store.img"), geometry.export_bytes())?;
-    let mut capture = fs::File::open(dir.join("capture.trace"))?;
-    let cmds: Vec<MemCmd> = read_trace(&mut capture)?;
+    let capture = BufReader::new(fs::File::open(dir.join("capture.trace"))?);
+    let cmds: Vec<MemCmd> = read_trace(capture)?;
     let gateway = WearGateway::replay(config.gateway.clone(), &cmds).map_err(gateway_io)?;
     counter!("twl.blockdev.restores").inc();
     Ok(DeviceState { store, gateway })

@@ -6,6 +6,7 @@
 #![forbid(unsafe_code)]
 
 use std::fs::{self, File};
+use std::io::BufReader;
 use std::path::PathBuf;
 use std::thread::{self, JoinHandle};
 
@@ -91,7 +92,8 @@ fn live_session_capture_replays_bit_identically() {
 
     // Offline replay of the captured trace: bit-identical wear map and
     // WlStats.
-    let cmds = read_trace(File::open(&trace_path).expect("capture.trace")).expect("trace codec");
+    let capture = BufReader::new(File::open(&trace_path).expect("capture.trace"));
+    let cmds = read_trace(capture).expect("trace codec");
     assert_eq!(cmds.len() as u64, live.capture_len);
     let replayed = WearGateway::replay(config.gateway.clone(), &cmds).expect("replay");
     assert_eq!(replayed.probe(), live, "replayed probe != live probe");

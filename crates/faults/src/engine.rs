@@ -123,8 +123,8 @@ impl FaultEngine {
     /// the write log — including retirement copy-writes. May contain
     /// duplicates; empty before the first absorb.
     ///
-    /// [`crate::EventHorizon::observe`] uses this to refresh only the
-    /// pages whose wear can have moved.
+    /// [`crate::EventHorizon::note`] queues these, so a refresh visits
+    /// only the pages whose wear can have moved.
     #[must_use]
     pub fn touched(&self) -> &[PhysicalPageAddr] {
         &self.scratch

@@ -16,6 +16,15 @@
 //! driver's batches shrink with it, and the crossing write always runs
 //! as a batch of one: the same granularity the per-write loop has.
 //!
+//! Only a multi-write batch reads the margin; a single write is
+//! event-safe by itself, since the absorb after it catches any crossing
+//! at that write. So the horizon refreshes lazily: after each absorb the
+//! driver only [notes](EventHorizon::note) the touched pages, and
+//! [`EventHorizon::refresh`] re-derives their distances just before a
+//! multi-write batch asks for the margin. A page's distance depends only
+//! on its current wear, its death and the phase below, so the deferred
+//! refresh yields the same margin an eager one would.
+//!
 //! Observable events, by phase:
 //!
 //! * **First-fault watch** (until any group has been corrected): the
@@ -42,9 +51,9 @@ const NEVER: u64 = u64::MAX;
 /// The distances live in an in-place min tree of `2 × pages` `u64`
 /// slots — 16 bytes per physical page, about 141 MB for the paper's
 /// 8,388,608 pages plus 5 % spares — allocated once at construction.
-/// [`EventHorizon::observe`] rewrites the leaves of the pages the fault
-/// engine touched and repairs only the ancestors whose minimum moved;
-/// [`EventHorizon::wear_margin`] reads the root.
+/// [`EventHorizon::refresh`] rewrites the leaves of the pages noted
+/// since the last refresh and repairs only the ancestors whose minimum
+/// moved; [`EventHorizon::wear_margin`] reads the root.
 #[derive(Debug)]
 pub struct EventHorizon {
     /// Bottom-up min tree: page `p`'s distance is the leaf at
@@ -55,6 +64,13 @@ pub struct EventHorizon {
     /// Whether the first-fault event has already fired, leaving only
     /// retirements to watch.
     retirement_only: bool,
+    /// Pages absorbed since the last refresh, duplicates included. Never
+    /// longer than the page count: past that, the next refresh rebuilds
+    /// every leaf instead.
+    pending: Vec<PhysicalPageAddr>,
+    /// Whether the next refresh must rebuild the whole tree (the pending
+    /// list overflowed, or the phase switched).
+    stale: bool,
 }
 
 impl EventHorizon {
@@ -66,6 +82,8 @@ impl EventHorizon {
         let mut horizon = Self {
             tree: table::filled(2 * pages, NEVER),
             retirement_only: engine.corrected_groups() > 0,
+            pending: Vec::new(),
+            stale: false,
         };
         horizon.rebuild(engine, device);
         horizon
@@ -75,29 +93,72 @@ impl EventHorizon {
     /// crossing an observable event: a batch that grows every page's
     /// wear by *strictly less than* this is event-free.
     ///
+    /// The margin is as of the last [`EventHorizon::refresh`] (or
+    /// [`EventHorizon::observe`]); pages noted since are not in it yet.
     /// Returns `u64::MAX` when no page has a future event.
     #[must_use]
     pub fn wear_margin(&self) -> u64 {
         self.tree.get(1).copied().unwrap_or(NEVER)
     }
 
-    /// Refreshes the horizon after an absorb: re-derives the distance of
-    /// every page the engine touched (including retirement copy-writes)
-    /// and switches to retirement-only watching once the first group
-    /// correction has happened.
-    pub fn observe(&mut self, engine: &FaultEngine, device: &PcmDevice) {
+    /// Notes an absorb: queues the pages the engine touched (including
+    /// retirement copy-writes) for the next refresh, and switches to
+    /// retirement-only watching once the first group correction has
+    /// happened. Costs one append per touched page; no distance is
+    /// computed until [`EventHorizon::refresh`].
+    pub fn note(&mut self, engine: &FaultEngine) {
         if !self.retirement_only && engine.corrected_groups() > 0 {
             // First fault fired: every page's next event jumps from its
             // first threshold to its budget-crossing threshold. One full
             // rebuild per run.
             self.retirement_only = true;
+            self.overflow();
+            return;
+        }
+        if self.stale {
+            return;
+        }
+        let touched = engine.touched();
+        if self.pending.len() + touched.len() > self.tree.len() / 2 {
+            // Rebuilding costs one pass over the pages, so a list this
+            // long would take longer to apply than to replace.
+            self.overflow();
+            return;
+        }
+        self.pending.extend_from_slice(touched);
+    }
+
+    /// Brings the margin up to date with every absorb noted since the
+    /// last refresh: re-derives the distance of each noted page from its
+    /// current wear, or rebuilds the whole tree when the pending list
+    /// overflowed or the phase switched.
+    pub fn refresh(&mut self, engine: &FaultEngine, device: &PcmDevice) {
+        if std::mem::take(&mut self.stale) {
             self.rebuild(engine, device);
             return;
         }
-        for &page in engine.touched() {
+        let pending = std::mem::take(&mut self.pending);
+        for &page in &pending {
             let d = self.distance(page, engine, device);
             self.set(page.as_usize(), d);
         }
+        self.pending = pending;
+        self.pending.clear();
+    }
+
+    /// Notes an absorb and refreshes at once: the margin afterwards
+    /// covers it. Equivalent to [`EventHorizon::note`] followed by
+    /// [`EventHorizon::refresh`].
+    pub fn observe(&mut self, engine: &FaultEngine, device: &PcmDevice) {
+        self.note(engine);
+        self.refresh(engine, device);
+    }
+
+    /// Drops the pending list in favour of a full rebuild at the next
+    /// refresh.
+    fn overflow(&mut self) {
+        self.stale = true;
+        self.pending.clear();
     }
 
     /// Writes page `p`'s leaf and recomputes its ancestors, stopping at
@@ -150,7 +211,8 @@ impl EventHorizon {
     }
 
     /// Recomputes every leaf from scratch, then every inner node once
-    /// (construction and the first-fault phase switch).
+    /// (construction, the first-fault phase switch, and a pending list
+    /// that overflowed).
     fn rebuild(&mut self, engine: &FaultEngine, device: &PcmDevice) {
         let pages = self.tree.len() / 2;
         for p in 0..pages {
@@ -314,29 +376,53 @@ mod tests {
 
     #[test]
     fn margin_matches_brute_force_through_phase_switch_and_deaths() {
+        // An eager horizon observes every absorb; a lazy one only notes
+        // them and refreshes after a random number of absorbs — at times
+        // past the page count, so its pending list overflows, and across
+        // the first fault, so the phase switches while pages are pending.
+        let (mut overflows, mut pending_switches) = (0, 0);
         // Page counts 6, 10 and 22: none a power of two.
         for (data, spares) in [(4, 2), (7, 3), (18, 4)] {
             for entries in [0, 2] {
                 for seed in 0..4u64 {
                     let (mut device, mut engine) = setup(data, spares, entries);
                     let pages = (data + spares) as usize;
-                    let mut horizon = EventHorizon::new(&engine, &device);
-                    assert_eq!(horizon.tree.len(), 2 * pages);
-                    assert_eq!(horizon.wear_margin(), brute_force_margin(&engine, &device));
+                    let mut eager = EventHorizon::new(&engine, &device);
+                    let mut lazy = EventHorizon::new(&engine, &device);
+                    assert_eq!(eager.tree.len(), 2 * pages);
+                    assert_eq!(eager.wear_margin(), brute_force_margin(&engine, &device));
                     let mut rng = SplitMix64::seed_from(seed);
                     let mut switched = false;
+                    let mut until_refresh = 0;
                     let exhausted = loop {
                         let slot = PhysicalPageAddr::new(rng.next_u64() % data);
                         device.write_page_n(slot, 1 + rng.next_u64() % 12);
                         let absorbed = engine.absorb(&mut device);
-                        horizon.observe(&engine, &device);
+                        eager.observe(&engine, &device);
                         let case = format!("{pages} pages, {entries} entries, seed {seed}");
-                        assert_eq!(horizon.tree.len(), 2 * pages, "{case}");
-                        assert_eq!(
-                            horizon.wear_margin(),
-                            brute_force_margin(&engine, &device),
-                            "{case}"
-                        );
+                        assert_eq!(eager.tree.len(), 2 * pages, "{case}");
+                        let brute = brute_force_margin(&engine, &device);
+                        assert_eq!(eager.wear_margin(), brute, "{case}");
+                        let (was_pending, was_switched) =
+                            (!lazy.pending.is_empty(), lazy.retirement_only);
+                        lazy.note(&engine);
+                        assert!(lazy.pending.len() <= pages, "{case}");
+                        if was_pending && lazy.stale {
+                            if lazy.retirement_only == was_switched {
+                                overflows += 1;
+                            } else {
+                                pending_switches += 1;
+                            }
+                        }
+                        if until_refresh == 0 {
+                            lazy.refresh(&engine, &device);
+                            assert!(lazy.pending.is_empty() && !lazy.stale, "{case}");
+                            assert_eq!(lazy.wear_margin(), brute, "{case}");
+                            assert_eq!(lazy.tree, eager.tree, "{case}");
+                            until_refresh = rng.next_u64() % (2 * pages as u64);
+                        } else {
+                            until_refresh -= 1;
+                        }
                         switched |= engine.corrected_groups() > 0;
                         if absorbed.is_err() {
                             break true;
@@ -353,5 +439,10 @@ mod tests {
                 }
             }
         }
+        assert!(overflows > 0, "some pending list overflowed");
+        assert!(
+            pending_switches > 0,
+            "some phase switch found pages pending"
+        );
     }
 }

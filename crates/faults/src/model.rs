@@ -1,8 +1,27 @@
 //! The cell-level fault model: per-group wear-out thresholds.
 
 use crate::FaultConfig;
-use twl_pcm::{EnduranceMap, PhysicalPageAddr};
+use std::convert::Infallible;
+use std::sync::Arc;
+use twl_pcm::{EnduranceMap, InternTable, PcmConfig, PhysicalPageAddr};
 use twl_rng::{GaussianSampler, SplitMix64};
+
+/// The fields a provisioned device's thresholds depend on: its
+/// [`PcmConfig::endurance_key`], then the fault seed, the group count and
+/// `group_sigma_fraction.to_bits()`.
+type ModelKey = ((u64, u64, u64, u64), u64, u32, u64);
+
+/// Drawn thresholds by the fields they were drawn from.
+static LIVE_MODELS: InternTable<ModelKey, Vec<u64>> = InternTable::new();
+
+fn model_key(device_cfg: &PcmConfig, config: &FaultConfig) -> ModelKey {
+    (
+        device_cfg.endurance_key(),
+        config.seed,
+        config.cell_groups_per_page,
+        config.group_sigma_fraction.to_bits(),
+    )
+}
 
 /// Precomputed per-group wear-out thresholds for every physical page.
 ///
@@ -17,9 +36,16 @@ use twl_rng::{GaussianSampler, SplitMix64};
 /// regenerated with the same seed over the same endurance map is
 /// bit-identical regardless of visit order — the determinism contract
 /// the proptests pin down.
+///
+/// A model is immutable, so clones share one threshold allocation, and
+/// [`crate::provision`] hands every domain drawn from the same configs
+/// the same thresholds while any of them is alive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFaultModel {
-    thresholds: Vec<u64>,
+    /// The rows, page after page. The values sit in their own
+    /// allocation, not inline in the `Arc`, so the intern table's `Weak`
+    /// pins only the small `Arc` header once the last holder drops.
+    thresholds: Arc<Vec<u64>>,
     groups: u32,
 }
 
@@ -49,6 +75,35 @@ impl CellFaultModel {
             }
             thresholds[row_start..].sort_unstable();
         }
+        Self {
+            thresholds: Arc::new(thresholds),
+            groups: config.cell_groups_per_page,
+        }
+    }
+
+    /// [`CellFaultModel::generate`] for a device built from `device_cfg`;
+    /// `endurance` must be the map `device_cfg` draws. While any model drawn
+    /// from the same device fields, fault seed, group count and group
+    /// sigma is alive, this returns one sharing its thresholds instead
+    /// of drawing again — a 256-page domain's 64-group draw is about
+    /// 0.6 ms, repeated by every cell of a matrix. Once every holder has
+    /// dropped, the thresholds are freed and the next call draws afresh,
+    /// to an equal model. Two threads that miss at the same moment both
+    /// draw (no lock is held while drawing); the second to finish adopts
+    /// the first's thresholds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid (see [`FaultConfig::validate`]).
+    #[must_use]
+    pub(crate) fn generate_shared(
+        device_cfg: &PcmConfig,
+        endurance: &EnduranceMap,
+        config: &FaultConfig,
+    ) -> Self {
+        let Ok(thresholds) = LIVE_MODELS.get_or_try_make(model_key(device_cfg, config), || {
+            Ok::<_, Infallible>(Self::generate(endurance, config).thresholds)
+        });
         Self {
             thresholds,
             groups: config.cell_groups_per_page,
@@ -112,6 +167,19 @@ impl CellFaultModel {
     pub fn uncorrectable_wear(&self, page: PhysicalPageAddr, budget: u32) -> Option<u64> {
         self.row(page).get(budget as usize).copied()
     }
+}
+
+/// Whether two models read the same threshold allocation.
+#[cfg(test)]
+pub(crate) fn shares_thresholds(a: &CellFaultModel, b: &CellFaultModel) -> bool {
+    Arc::ptr_eq(&a.thresholds, &b.thresholds)
+}
+
+/// Whether the intern table holds an entry, live or dead, for the
+/// thresholds of a device built from `device_cfg` under `config`.
+#[cfg(test)]
+pub(crate) fn is_interned(device_cfg: &PcmConfig, config: &FaultConfig) -> bool {
+    LIVE_MODELS.contains(&model_key(device_cfg, config))
 }
 
 #[cfg(test)]

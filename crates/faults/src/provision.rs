@@ -43,6 +43,15 @@ pub fn spare_pages_for(data_pages: u64, spare_fraction: f64) -> u64 {
 /// `data_cfg` device — adding spares does not perturb the experiment's
 /// process variation.
 ///
+/// The fault model is drawn once per configuration, not once per
+/// domain: while any domain provisioned from the same device fields
+/// (seed, pages, mean endurance, sigma — spares included), fault seed,
+/// group count and group sigma is alive, a new domain's engine shares
+/// its thresholds, as the device shares its endurance map (see
+/// `EnduranceMap::generate`). A matrix's cells, which provision equal
+/// domains side by side, thus draw the model once. Nothing is kept once
+/// the last domain drops.
+///
 /// # Errors
 ///
 /// Returns [`PcmError::InvalidConfig`] if either configuration is
@@ -61,7 +70,7 @@ pub fn provision(data_cfg: &PcmConfig, fault_cfg: &FaultConfig) -> Result<FaultD
             .map(PhysicalPageAddr::new)
             .collect(),
     );
-    let model = CellFaultModel::generate(device.endurance_map(), fault_cfg);
+    let model = CellFaultModel::generate_shared(&total_cfg, device.endurance_map(), fault_cfg);
     let engine = FaultEngine::new(model, fault_cfg.policy);
     Ok(FaultDomain {
         device,
@@ -74,6 +83,8 @@ pub fn provision(data_cfg: &PcmConfig, fault_cfg: &FaultConfig) -> Result<FaultD
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{is_interned, shares_thresholds};
+    use crate::CorrectionPolicy;
     use twl_pcm::EnduranceMap;
 
     #[test]
@@ -107,5 +118,115 @@ mod tests {
             provision(&data_cfg, &bad),
             Err(PcmError::InvalidConfig(_))
         ));
+    }
+
+    /// A device config with a mean endurance no other test draws, so no
+    /// other test can hold (or drop) these models.
+    fn private_cfg(pages: u64, seed: u64) -> PcmConfig {
+        PcmConfig::scaled(pages, 6_543_210, seed)
+    }
+
+    #[test]
+    fn equal_configs_share_one_fault_model() {
+        let data_cfg = private_cfg(32, 1);
+        let fault_cfg = FaultConfig::default();
+        let a = provision(&data_cfg, &fault_cfg).unwrap();
+        let b = provision(&data_cfg, &fault_cfg).unwrap();
+        assert!(shares_thresholds(a.engine.model(), b.engine.model()));
+        // The correction policy does not shape the thresholds.
+        let ecp = FaultConfig {
+            policy: CorrectionPolicy::Ecp { entries: 2 },
+            ..fault_cfg
+        };
+        let c = provision(&data_cfg, &ecp).unwrap();
+        assert!(shares_thresholds(a.engine.model(), c.engine.model()));
+        // Shared or drawn, the model is the one a plain draw gives.
+        let plain = CellFaultModel::generate(a.device.endurance_map(), &fault_cfg);
+        assert_eq!(*b.engine.model(), plain);
+        assert!(!shares_thresholds(&plain, a.engine.model()));
+    }
+
+    #[test]
+    fn any_keyed_field_change_draws_its_own_model() {
+        let data_cfg = private_cfg(32, 2);
+        let fault_cfg = FaultConfig::default();
+        let base = provision(&data_cfg, &fault_cfg).unwrap();
+        let pcm_variants = [
+            private_cfg(32, 3),
+            private_cfg(64, 2),
+            PcmConfig::scaled(32, 6_543_211, 2),
+            PcmConfig {
+                sigma_fraction: data_cfg.sigma_fraction * 2.0,
+                ..data_cfg.clone()
+            },
+        ];
+        let fault_variants = [
+            FaultConfig {
+                seed: fault_cfg.seed + 1,
+                ..fault_cfg
+            },
+            FaultConfig {
+                cell_groups_per_page: fault_cfg.cell_groups_per_page / 2,
+                ..fault_cfg
+            },
+            FaultConfig {
+                group_sigma_fraction: fault_cfg.group_sigma_fraction * 2.0,
+                ..fault_cfg
+            },
+            // More spares: the device, hence the key, has more pages.
+            FaultConfig {
+                spare_fraction: fault_cfg.spare_fraction * 4.0,
+                ..fault_cfg
+            },
+        ];
+        let others = pcm_variants
+            .iter()
+            .map(|pcm| provision(pcm, &fault_cfg).unwrap())
+            .chain(
+                fault_variants
+                    .iter()
+                    .map(|fault| provision(&data_cfg, fault).unwrap()),
+            );
+        for (i, other) in others.enumerate() {
+            assert!(
+                !shares_thresholds(base.engine.model(), other.engine.model()),
+                "variant {i} shared the base model"
+            );
+        }
+    }
+
+    #[test]
+    fn no_model_outlives_its_domains() {
+        let data_cfg = private_cfg(16, 4);
+        let fault_cfg = FaultConfig::default();
+        let total_cfg = PcmConfig {
+            pages: 16 + spare_pages_for(16, fault_cfg.spare_fraction),
+            ..data_cfg.clone()
+        };
+        let domain = provision(&data_cfg, &fault_cfg).unwrap();
+        let first = domain.engine.model().clone();
+        drop(domain);
+        // The clone still holds the thresholds: a new domain shares them.
+        let again = provision(&data_cfg, &fault_cfg).unwrap();
+        assert!(shares_thresholds(&first, again.engine.model()));
+        drop((first, again));
+        // Every holder is gone; the next insert sweeps the dead entry.
+        for seed in 5..9 {
+            drop(provision(&private_cfg(16, seed), &fault_cfg).unwrap());
+        }
+        let live = provision(&private_cfg(16, 9), &fault_cfg).unwrap();
+        assert!(!is_interned(&total_cfg, &fault_cfg));
+        assert!((5..9).all(|seed| !is_interned(
+            &PcmConfig {
+                pages: total_cfg.pages,
+                ..private_cfg(16, seed)
+            },
+            &fault_cfg
+        )));
+        drop(live);
+        // A redraw after the sweep equals the freed model.
+        let redrawn = provision(&data_cfg, &fault_cfg).unwrap();
+        let plain = CellFaultModel::generate(redrawn.device.endurance_map(), &fault_cfg);
+        assert_eq!(*redrawn.engine.model(), plain);
     }
 }

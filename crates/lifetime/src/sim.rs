@@ -139,17 +139,25 @@ pub fn run_degradation_attack_unbatched(
 }
 
 /// The lifetime loop: ask the stream for its next deterministic run,
-/// capped by the write budget and the regime, service it through
+/// capped by the write budget only, service it through
 /// [`WearLeveler::write_batch`] (which collapses event-free stretches
-/// into O(1) bulk device writes), and let the regime settle the batch —
-/// until a write fails, the regime ends the run, or the budget is spent.
+/// into O(1) bulk device writes) in pieces no longer than the regime's
+/// cap, and let the regime settle each piece — until a write fails, the
+/// regime ends the run, or the budget is spent.
+///
+/// A run of one is written without asking for a cap: a single write
+/// is always a valid batch. A longer run is cut to the cap, and its
+/// remainder is carried as the next iteration's run, so the cap is
+/// asked again (against the margin the piece left) before the rest is
+/// written.
 ///
 /// Batching is exact: a run of length `len` promises the stream would
 /// have produced the same address for `len` per-write calls regardless
-/// of feedback, `write_batch` promises state identical to `len` scalar
-/// writes, and the regime's cap keeps every observable event on a batch
-/// boundary. So the only observable difference from the scalar adapters
-/// is wear-snapshot granularity (see [`RunTelemetry::observe_batch`]).
+/// of feedback (so a carried remainder needs none), `write_batch`
+/// promises state identical to `len` scalar writes, and the regime's
+/// cap keeps every observable event on a batch boundary. So the only
+/// observable difference from the scalar adapters is wear-snapshot
+/// granularity (see [`RunTelemetry::observe_batch`]).
 fn drive<S, A, R>(
     scheme: &mut S,
     device: &mut PcmDevice,
@@ -175,14 +183,19 @@ where
     // stream reads its feedback in place from that batch's outcome:
     // copying the outcome into a longer-lived slot first cost the
     // per-write oracle about a third of its speed.
-    let mut run = next_run(scheme, stream, &mut regime, limits.max_logical_writes, None);
+    let mut run = next_run(stream, limits.max_logical_writes, None);
     while let Some((la, len)) = run {
+        let piece = if len == 1 {
+            1
+        } else {
+            len.min(regime.batch_cap(scheme, device))
+        };
         let device_writes_before = device.total_writes();
         let BatchOutcome {
             serviced,
             last,
             failure,
-        } = scheme.write_batch(la, len, device);
+        } = scheme.write_batch(la, piece, device);
         if serviced > 0 {
             logical_writes += serviced;
             if let Some(telemetry) = &mut telemetry {
@@ -195,14 +208,18 @@ where
             break;
         }
         assert!(
-            serviced == len,
-            "write_batch serviced {serviced} of {len} writes without failing"
+            serviced == piece,
+            "write_batch serviced {serviced} of {piece} writes without failing"
         );
         if !regime.settle(device, logical_writes, &scheme_name, &workload) {
             break;
         }
-        let remaining = limits.max_logical_writes - logical_writes;
-        run = next_run(scheme, stream, &mut regime, remaining, last.as_ref());
+        run = if piece < len {
+            Some((la, len - piece))
+        } else {
+            let remaining = limits.max_logical_writes - logical_writes;
+            next_run(stream, remaining, last.as_ref())
+        };
     }
     let alarm_rate = telemetry.map_or(0.0, |telemetry| telemetry.end(device));
     let run = RunEnd {
@@ -216,26 +233,17 @@ where
 }
 
 /// The stream's next run, clamped to at least one write and at most
-/// the remaining budget and the regime's cap; `None` once the budget
-/// is spent.
-fn next_run<S, A, R>(
-    scheme: &S,
+/// the remaining budget; `None` once the budget is spent.
+fn next_run<A: AttackStream + ?Sized>(
     stream: &mut A,
-    regime: &mut R,
     remaining: u64,
     feedback: Option<&WriteOutcome>,
-) -> Option<(LogicalPageAddr, u64)>
-where
-    S: WearLeveler + ?Sized,
-    A: AttackStream + ?Sized,
-    R: Regime,
-{
+) -> Option<(LogicalPageAddr, u64)> {
     if remaining == 0 {
         return None;
     }
-    let budget = remaining.min(regime.batch_cap(scheme));
-    let (la, len) = stream.next_run(feedback, budget);
-    Some((la, len.clamp(1, budget)))
+    let (la, len) = stream.next_run(feedback, remaining);
+    Some((la, len.clamp(1, remaining)))
 }
 
 /// What the loop hands its regime when the run is over.
@@ -254,8 +262,9 @@ struct RunEnd<'a> {
 trait Regime {
     type Report;
 
-    /// Upper bound on the next batch's length (at least 1).
-    fn batch_cap<S: WearLeveler + ?Sized>(&mut self, scheme: &S) -> u64;
+    /// Upper bound on the next batch's length (at least 1). Asked only
+    /// before a batch of more than one write.
+    fn batch_cap<S: WearLeveler + ?Sized>(&mut self, scheme: &S, device: &PcmDevice) -> u64;
 
     /// A write failed: the run ends here.
     fn fail(&mut self, error: PcmError);
@@ -292,7 +301,7 @@ impl<'a> FailStop<'a> {
 impl Regime for FailStop<'_> {
     type Report = LifetimeReport;
 
-    fn batch_cap<S: WearLeveler + ?Sized>(&mut self, _scheme: &S) -> u64 {
+    fn batch_cap<S: WearLeveler + ?Sized>(&mut self, _: &S, _: &PcmDevice) -> u64 {
         u64::MAX
     }
 
@@ -353,11 +362,20 @@ impl Regime for FailStop<'_> {
 /// Batching is exact here, not approximate: an [`EventHorizon`] tracks
 /// every page's wear-distance to its next *observable* fault event (the
 /// run's first corrected group, then each retirement threshold), and
-/// each batch is capped through [`WearLeveler::write_batch_cap`] so no
-/// page can cross an event mid-batch. Quiet stretches batch by the
-/// thousands; as a page approaches a threshold the cap shrinks to one,
-/// so the crossing write is absorbed at exactly the device-write count
-/// a per-write run would observe.
+/// each multi-write batch is capped through
+/// [`WearLeveler::write_batch_cap`] so no page can cross an event
+/// mid-batch. Quiet stretches batch by the thousands; as a page
+/// approaches a threshold the cap shrinks to one, so the crossing write
+/// is absorbed at exactly the device-write count a per-write run would
+/// observe.
+///
+/// The horizon is paid for only where it is read. Every batch is
+/// absorbed, and the absorb's per-page compare catches each crossing at
+/// the write where it happens; settling then merely notes the touched
+/// pages. The noted distances are re-derived in `batch_cap`, which the
+/// loop asks only before a batch of more than one write — so a stream
+/// of single writes (random, inconsistent, scan) never refreshes the
+/// horizon at all.
 struct Degradation<'a> {
     engine: &'a mut FaultEngine,
     horizon: EventHorizon,
@@ -433,9 +451,11 @@ impl<'a> Degradation<'a> {
 impl Regime for Degradation<'_> {
     type Report = DegradationReport;
 
-    /// The scheme translates the wear margin into the largest batch
-    /// that cannot push any single page across it.
-    fn batch_cap<S: WearLeveler + ?Sized>(&mut self, scheme: &S) -> u64 {
+    /// Brings the horizon up to date with the pages noted since the
+    /// last cap; the scheme then translates the wear margin into the
+    /// largest batch that cannot push any single page across it.
+    fn batch_cap<S: WearLeveler + ?Sized>(&mut self, scheme: &S, device: &PcmDevice) -> u64 {
+        self.horizon.refresh(self.engine, device);
         scheme.write_batch_cap(self.horizon.wear_margin()).max(1)
     }
 
@@ -446,9 +466,9 @@ impl Regime for Degradation<'_> {
     }
 
     /// Runs one fault absorption, folds its events into the milestones
-    /// and the curve, and refreshes the horizon. Returns `false` when
-    /// the spare pool is exhausted — the graceful-degradation end of
-    /// life.
+    /// and the curve, and notes the touched pages in the horizon.
+    /// Returns `false` when the spare pool is exhausted — the
+    /// graceful-degradation end of life.
     fn settle(
         &mut self,
         device: &mut PcmDevice,
@@ -476,7 +496,7 @@ impl Regime for Degradation<'_> {
             }
             Err(e) => unreachable!("fault engine hit a non-spare device error: {e}"),
         }
-        self.horizon.observe(self.engine, device);
+        self.horizon.note(self.engine);
         true
     }
 

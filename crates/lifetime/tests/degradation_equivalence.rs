@@ -13,8 +13,8 @@ use twl_lifetime::{
     build_scheme_spec_for_region, run_degradation_attack, run_degradation_attack_unbatched,
     Calibration, DegradationEnd, DegradationReport, SchemeKind, SchemeSpec, SimLimits,
 };
-use twl_pcm::PcmConfig;
-use twl_workloads::{ParsecBenchmark, WorkloadSpec};
+use twl_pcm::{LogicalPageAddr, PcmConfig};
+use twl_workloads::{write_trace, MemCmd, ParsecBenchmark, WorkloadSpec};
 
 /// Every scheme the factory can build (64 pages is a power of two, so
 /// Security Refresh is included).
@@ -186,6 +186,69 @@ fn workload_degradation_is_bit_identical() {
         assert_eq!(batched, reference, "{kind:?} workload report diverged");
         assert_eq!(wear_b, wear_u, "{kind:?} workload wear diverged");
     }
+}
+
+/// A replayed capture whose long same-address stretches outrun the wear
+/// margin, between single writes: the batched loop writes each stretch
+/// in pieces no longer than the regime's cap, carrying the remainder,
+/// and writes every single write without asking for a cap at all.
+#[test]
+fn carried_trace_runs_to_spare_exhaustion_are_bit_identical() {
+    let dir = std::env::temp_dir().join(format!("twl-degr-eq-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("stretches.trace");
+    let mut cmds = Vec::new();
+    for (i, stretch) in [1_500u64, 3, 700, 1, 2_900].into_iter().enumerate() {
+        let hot = LogicalPageAddr::new(5 + 11 * i as u64);
+        cmds.extend((0..stretch).map(|_| MemCmd::write(hot)));
+        // Scattered single writes between the stretches; Start-Gap's
+        // 63 logical pages bound the addresses.
+        cmds.extend(
+            (0..20u64).map(|j| MemCmd::write(LogicalPageAddr::new((j * 7 + i as u64) % 63))),
+        );
+        cmds.push(MemCmd::read(hot));
+    }
+    let mut bytes = Vec::new();
+    write_trace(&mut bytes, &cmds).expect("encode trace");
+    std::fs::write(&path, bytes).expect("write trace");
+    let workload: WorkloadSpec = format!("TRACE[path={},seed=3]", path.display())
+        .parse()
+        .expect("trace label parses");
+
+    let limits = SimLimits::default();
+    let calibration = Calibration::attack_8gbps();
+    for kind in SCHEMES {
+        let run = |batched: bool| {
+            let mut domain = domain(2_000, 6);
+            let spec = SchemeSpec::new(kind);
+            let mut scheme = build_scheme_spec_for_region(&spec, &domain.device, domain.data_pages)
+                .expect("scheme builds");
+            let mut stream = workload
+                .build(scheme.page_count(), 6)
+                .expect("trace workload builds");
+            let drive = if batched {
+                run_degradation_attack
+            } else {
+                run_degradation_attack_unbatched
+            };
+            let report = drive(
+                scheme.as_mut(),
+                &mut domain,
+                &mut stream,
+                &limits,
+                &calibration,
+            );
+            (report, domain.device.wear_counters().to_vec())
+        };
+        let (batched, wear_b) = run(true);
+        let (reference, wear_u) = run(false);
+        assert_eq!(batched, reference, "{kind:?} trace report diverged");
+        assert_eq!(wear_b, wear_u, "{kind:?} trace wear diverged");
+        assert_eq!(batched.end, DegradationEnd::SpareExhausted, "{kind:?}");
+        assert!(batched.first_fault_device_writes.is_some(), "{kind:?}");
+        assert!(batched.curve.len() > 1, "{kind:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 mod scalar_only;

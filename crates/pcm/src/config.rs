@@ -106,6 +106,19 @@ impl PcmConfig {
         self.page_size_bytes / self.line_size_bytes
     }
 
+    /// The fields the endurance map is drawn from — seed, pages, mean
+    /// endurance and `sigma_fraction.to_bits()` — as a key: configs with
+    /// equal keys draw equal maps (see [`crate::EnduranceMap::generate`]).
+    #[must_use]
+    pub fn endurance_key(&self) -> (u64, u64, u64, u64) {
+        (
+            self.seed,
+            self.pages,
+            self.mean_endurance,
+            self.sigma_fraction.to_bits(),
+        )
+    }
+
     /// The Gaussian the endurance map is drawn from.
     pub(crate) fn endurance_sampler(&self) -> GaussianSampler {
         GaussianSampler::new(

@@ -1,27 +1,11 @@
 //! Process-variation endurance map.
 
-use crate::{table, PcmConfig, PcmError, PhysicalPageAddr};
-use std::collections::HashMap;
-use std::sync::{Arc, LazyLock, Mutex, Weak};
+use crate::{table, InternTable, PcmConfig, PcmError, PhysicalPageAddr};
+use std::sync::Arc;
 use twl_rng::Xoshiro256StarStar;
 
-/// The [`PcmConfig`] fields a drawn map depends on: seed, pages, mean
-/// endurance and `sigma_fraction.to_bits()`.
-type MapKey = (u64, u64, u64, u64);
-
-/// Generated maps by the config fields they were drawn from. Entries are
-/// `Weak`, so the table never keeps a map's values past its last holder;
-/// entries whose maps have died are dropped on the next insert.
-static LIVE_MAPS: LazyLock<Mutex<HashMap<MapKey, Weak<Values>>>> = LazyLock::new(Mutex::default);
-
-fn map_key(config: &PcmConfig) -> MapKey {
-    (
-        config.seed,
-        config.pages,
-        config.mean_endurance,
-        config.sigma_fraction.to_bits(),
-    )
-}
+/// Generated maps by [`PcmConfig::endurance_key`].
+static LIVE_MAPS: InternTable<(u64, u64, u64, u64), Values> = InternTable::new();
 
 /// A map's per-page values with the two aggregates read on every
 /// fail-stop run's report, computed once where the values are made.
@@ -108,12 +92,12 @@ impl EnduranceMap {
     /// exceeds `u32::MAX`. A config that [`crate::PcmConfigBuilder::build`]
     /// accepted never draws one.
     pub fn generate(config: &PcmConfig) -> Result<Self, PcmError> {
-        let key = map_key(config);
-        let live = || LIVE_MAPS.lock().expect("endurance intern lock poisoned");
-        let twin = live().get(&key).and_then(Weak::upgrade);
-        if let Some(values) = twin {
-            return Ok(Self { values });
-        }
+        let values = LIVE_MAPS.get_or_try_make(config.endurance_key(), || Self::draw(config))?;
+        Ok(Self { values })
+    }
+
+    /// Draws the values [`EnduranceMap::generate`] shares.
+    fn draw(config: &PcmConfig) -> Result<Arc<Values>, PcmError> {
         let mut rng = Xoshiro256StarStar::seed_from(config.seed ^ 0x5043_4D5F_454E_4455);
         let sampler = config.endurance_sampler();
         // The first draw past `u32::MAX`, if any; the table is then
@@ -130,17 +114,10 @@ impl EnduranceMap {
                 })
             }),
         );
-        if let Some(e) = wide {
-            return Err(e);
+        match wide {
+            Some(e) => Err(e),
+            None => Ok(Values::new(pages)),
         }
-        let drawn = Values::new(pages);
-        let mut live = live();
-        if let Some(values) = live.get(&key).and_then(Weak::upgrade) {
-            return Ok(Self { values });
-        }
-        live.retain(|_, map| map.strong_count() > 0);
-        live.insert(key, Arc::downgrade(&drawn));
-        Ok(Self { values: drawn })
     }
 
     /// Builds a map from explicit per-page values (for tests and custom
@@ -313,10 +290,7 @@ fn narrow(page: u64, endurance: u64) -> Result<u32, PcmError> {
 /// `config` draws.
 #[cfg(test)]
 fn is_interned(config: &PcmConfig) -> bool {
-    LIVE_MAPS
-        .lock()
-        .expect("endurance intern lock poisoned")
-        .contains_key(&map_key(config))
+    LIVE_MAPS.contains(&config.endurance_key())
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@ mod config;
 mod device;
 mod endurance;
 mod error;
+mod intern;
 mod stats;
 pub mod table;
 mod timing;
@@ -46,5 +47,6 @@ pub use config::{PcmConfig, PcmConfigBuilder};
 pub use device::{BulkWrite, DeviceSnapshot, PcmDevice, WearPolicy};
 pub use endurance::EnduranceMap;
 pub use error::PcmError;
+pub use intern::InternTable;
 pub use stats::{wear_gini, WearStats};
 pub use timing::PcmTiming;

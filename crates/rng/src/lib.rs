@@ -103,6 +103,7 @@ pub trait SimRng {
     }
 
     /// Returns a uniformly distributed `f64` in `[0, 1)`.
+    #[inline]
     fn next_unit_f64(&mut self) -> f64 {
         // 53 random mantissa bits.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

@@ -83,6 +83,10 @@ pub fn write_trace<W: Write>(mut writer: W, trace: &[MemCmd]) -> io::Result<()> 
 /// Deserializes a trace written by [`write_trace`]. A mutable reference
 /// works as a reader too.
 ///
+/// Each 9-byte record takes two reads from `reader`, so wrap a file in a
+/// [`std::io::BufReader`]: unbuffered, every record costs two system
+/// calls.
+///
 /// # Errors
 ///
 /// Returns an error on I/O failure, a truncated record, or an unknown
